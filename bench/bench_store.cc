@@ -10,6 +10,9 @@
 //   scan       store-backed Scan() vs. the in-memory vector walk over the
 //              identical records -- the price of reading through the
 //              checksummed block path instead of RAM.
+//   crc32c     checksum throughput of the dispatched CRC32C kernel and of
+//              its software path (what SIDQ_FORCE_ISA=scalar runs); every
+//              block and manifest byte goes through it on append and open.
 //   recovery   Store::Open wall time as the store grows across segment
 //              counts, plus a reopen after an injected torn tail (the
 //              power-cut case recovery exists for).
@@ -27,13 +30,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/random.h"
 #include "core/stid.h"
+#include "kernels/crc32c.h"
+#include "kernels/dispatch.h"
 #include "store/store.h"
 #include "store/vfs.h"
 
@@ -138,6 +145,30 @@ struct CachePoint {
   double hit_ratio = 0.0;
   uint64_t resident_bytes = 0;
 };
+
+// The host the numbers were recorded on ("model name" of /proc/cpuinfo).
+std::string CpuModel() {
+  std::ifstream f("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t start = line.find_first_not_of(" \t", line.find(':') + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
+
+// Best-of-`reps` throughput of one CRC32C path over `buf`, in MB/s.
+double CrcMbPerS(uint32_t (*extend)(uint32_t, const char*, size_t),
+                 const std::string& buf, int reps, uint32_t* crc) {
+  double best_s = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    const auto t0 = std::chrono::steady_clock::now();
+    *crc = extend(0, buf.data(), buf.size());
+    best_s = std::min(best_s, SecondsSince(t0));
+  }
+  return static_cast<double>(buf.size()) / best_s / 1e6;
+}
 
 // Process peak RSS in bytes (ru_maxrss is KiB on Linux). A high-water
 // mark: deltas across a section bound that section's extra footprint.
@@ -283,7 +314,7 @@ int main(int argc, char** argv) {
   // Every block of every manifested segment is CRC-verified on open, so
   // this curve is the price of paranoia at startup.
   std::vector<RecoveryPoint> recovery;
-  for (const size_t target_segments : {1u, 4u, 16u}) {
+  for (const size_t target_segments : {1u, 4u, 16u, 64u}) {
     store::StoreOptions ropts;
     ropts.field_name = "bench";
     ropts.block_records = 256;
@@ -291,6 +322,8 @@ int main(int argc, char** argv) {
     const size_t nrows =
         std::min(rows, target_segments * ropts.block_records *
                            ropts.segment_target_blocks);
+    // --quick caps the store below the larger targets: stop at the cap.
+    if (!recovery.empty() && nrows == recovery.back().rows) break;
     const std::string dir =
         scratch + "/recover" + std::to_string(target_segments);
     {
@@ -640,9 +673,33 @@ int main(int argc, char** argv) {
     RemoveTree(fleet_dir);
   }
 
+  // --- crc32c: dispatched kernel vs. its software path ------------------
+  // Both paths must agree on every byte; the dispatched one is what the
+  // store runs unless SIDQ_FORCE_ISA=scalar pins the software path. Runs
+  // after the fleet section so its buffer never lifts that section's
+  // peak-RSS baseline.
+  std::string crc_buf(quick ? (size_t{8} << 20) : (size_t{64} << 20), '\0');
+  {
+    Rng rng(kSeed);
+    for (char& c : crc_buf) c = static_cast<char>(rng.UniformInt(0, 255));
+  }
+  uint32_t crc_dispatched = 0, crc_scalar = 0;
+  const double crc_mb_per_s =
+      CrcMbPerS(&kernels::Crc32cExtend, crc_buf, reps, &crc_dispatched);
+  const double crc_scalar_mb_per_s =
+      CrcMbPerS(&kernels::Crc32cExtendSoftware, crc_buf, reps, &crc_scalar);
+  if (crc_dispatched != crc_scalar) {
+    std::fprintf(stderr,
+                 "CRC VIOLATION: dispatched crc32c %08x != software %08x\n",
+                 crc_dispatched, crc_scalar);
+    return 1;
+  }
+  const char* crc_path =
+      kernels::Crc32cHardwareActive() ? "sse4.2" : "software";
+
   RemoveTree(append_dir);
   RemoveTree(compact_dir);
-  for (const size_t s : {1u, 4u, 16u}) {
+  for (const size_t s : {1u, 4u, 16u, 64u}) {
     RemoveTree(scratch + "/recover" + std::to_string(s));
   }
   ::rmdir(scratch.c_str());
@@ -660,6 +717,9 @@ int main(int argc, char** argv) {
   t.AddRow({"compaction MB/s", bench::F1(compact_mb_per_s)});
   t.AddRow({"compaction bytes reclaimed",
             std::to_string(compact_report.bytes_reclaimed)});
+  t.AddRow({std::string("crc32c MB/s (dispatched, ") + crc_path + ")",
+            bench::F1(crc_mb_per_s)});
+  t.AddRow({"crc32c MB/s (forced scalar)", bench::F1(crc_scalar_mb_per_s)});
   t.Print();
 
   bench::Table ct({"cache budget", "pass1 ms", "pass2 ms", "hit ratio",
@@ -694,7 +754,8 @@ int main(int argc, char** argv) {
     rt.AddRow({std::to_string(p.segments), std::to_string(p.rows),
                bench::F2(p.open_ms)});
   }
-  rt.AddRow({"16 + torn tail", std::to_string(recovery.back().rows),
+  // recovery[2] is the 16-segment store the torn tail was appended to.
+  rt.AddRow({"16 + torn tail", std::to_string(recovery[2].rows),
              bench::F2(torn_open_ms)});
   rt.Print();
 
@@ -745,11 +806,16 @@ int main(int argc, char** argv) {
   }
 
   // rows_per_s / mb_per_s are absolute machine-dependent rates;
-  // scan_slowdown_vs_ram and cached_scan_slowdown_vs_ram are same-machine
-  // quotients, so bench_compare's --ratios-only mode may hold them across
-  // hosts.
+  // scan_slowdown_vs_ram, cached_scan_slowdown_vs_ram and the crc32c
+  // speedup are same-machine quotients, so bench_compare's --ratios-only
+  // mode may hold them across hosts.
+  const std::string host_json =
+      "{\"cpu\":\"" + CpuModel() + "\",\"nproc\":" +
+      std::to_string(std::thread::hardware_concurrency()) +
+      ",\"kernel_isa\":\"" +
+      kernels::IsaName(kernels::KernelDispatch::Active()) + "\"}";
   std::printf(
-      "BENCH_JSON: {\"bench\":\"store\",\"rows\":%zu,"
+      "BENCH_JSON: {\"bench\":\"store\",\"host\":%s,\"rows\":%zu,"
       "\"determinism\":\"bit-identical\",\"checksum\":\"%llu\","
       "\"append\":{\"seconds\":%.4f,\"rows_per_s\":%.0f,\"mb_per_s\":%.1f},"
       "\"scan\":{\"store_rows_per_s\":%.0f,\"mem_rows_per_s\":%.0f,"
@@ -758,8 +824,11 @@ int main(int argc, char** argv) {
       "\"cache_curve\":%s,"
       "\"compaction\":{\"segments\":%u,\"blocks_dropped\":%llu,"
       "\"bytes_reclaimed\":%llu,\"seconds\":%.4f,\"mb_per_s\":%.1f},"
+      "\"crc32c_mb_per_s\":{\"path\":\"%s\",\"dispatched\":%.0f,"
+      "\"forced_scalar\":%.0f,\"speedup\":%.2f},"
       "\"recovery\":%s,\"torn_tail_open_ms\":%.2f%s}\n",
-      rows, static_cast<unsigned long long>(mem_checksum), append_s,
+      host_json.c_str(), rows, static_cast<unsigned long long>(mem_checksum),
+      append_s,
       append_rows_per_s, append_mb_per_s,
       static_cast<double>(rows) / scan_store_s,
       static_cast<double>(rows) / scan_mem_s, scan_store_s / scan_mem_s,
@@ -767,7 +836,8 @@ int main(int argc, char** argv) {
       compact_report.segments_compacted,
       static_cast<unsigned long long>(compact_report.blocks_dropped),
       static_cast<unsigned long long>(compact_report.bytes_reclaimed),
-      compact_s, compact_mb_per_s, recovery_json.c_str(), torn_open_ms,
-      fleet_json.c_str());
+      compact_s, compact_mb_per_s, crc_path, crc_mb_per_s,
+      crc_scalar_mb_per_s, crc_mb_per_s / crc_scalar_mb_per_s,
+      recovery_json.c_str(), torn_open_ms, fleet_json.c_str());
   return 0;
 }

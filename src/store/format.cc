@@ -1,10 +1,12 @@
 #include "store/format.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
+#include <system_error>
 
 namespace sidq {
 namespace store {
@@ -13,33 +15,6 @@ static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
               "store format assumes little-endian host layout");
 
 namespace {
-
-// Reflected Castagnoli polynomial (same bitstream as SSE4.2 crc32).
-constexpr uint32_t kCrc32cPoly = 0x82f63b78u;
-
-const uint32_t* Crc32cTable() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int j = 0; j < 8; ++j) {
-        crc = (crc & 1u) ? (crc >> 1) ^ kCrc32cPoly : crc >> 1;
-      }
-      t[i] = crc;
-    }
-    return t;
-  }();
-  return table;
-}
-
-uint32_t Crc32cExtend(uint32_t crc, const char* data, size_t n) {
-  const uint32_t* table = Crc32cTable();
-  crc = ~crc;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ static_cast<uint8_t>(data[i])) & 0xffu] ^ (crc >> 8);
-  }
-  return ~crc;
-}
 
 template <typename T>
 void AppendRaw(std::string* out, const T& v) {
@@ -62,71 +37,151 @@ void ReadColumn(const char* src, size_t n, std::vector<T>* column) {
 constexpr size_t kRowBytes = sizeof(SensorId) + sizeof(Timestamp) +
                              4 * sizeof(double);
 
-bool ParseU64(std::istringstream* in, uint64_t* out) {
-  std::string tok;
-  if (!(*in >> tok)) return false;
-  char* end = nullptr;
-  errno = 0;
-  *out = std::strtoull(tok.c_str(), &end, 10);
-  return errno == 0 && end != nullptr && *end == '\0' && !tok.empty();
+// --- manifest text codec ----------------------------------------------------
+//
+// The v1 grammar: lines split on '\n'; within a line, tokens are separated
+// by C-locale whitespace; a numeric token means what strtoull(tok, &end,
+// base) reads when it stops at `*end == '\0'`. Every manifest a v1 store
+// ever accepted must keep parsing to the same values and every rejection
+// keeps its StatusCode, so those strtoull edges are part of the format
+// (tests/store_test.cc pins them in a reason-code table).
+
+constexpr char kManifestHeader[] = "# sidq-store manifest v1";
+
+// ' ' and "\t\n\v\f\r" (9..13).
+constexpr bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+// strtoull semantics: the token ends at its first NUL byte (nothing left
+// converts to 0), one leading sign is allowed and '-' negates modulo 2^64,
+// hex may carry a 0x prefix, and the magnitude must fit 64 bits.
+bool ParseUnsigned(std::string_view tok, int base, uint64_t* out) {
+  uint64_t v = 0;
+  const char* end = tok.data() + tok.size();
+  std::from_chars_result r = std::from_chars(tok.data(), end, v, base);
+  if (r.ec == std::errc() && r.ptr == end) {  // plain digits: the common case
+    *out = v;
+    return true;
+  }
+  tok = tok.substr(0, tok.find('\0'));
+  if (tok.empty()) {
+    *out = 0;
+    return true;
+  }
+  const bool negate = tok.front() == '-';
+  if (negate || tok.front() == '+') tok.remove_prefix(1);
+  if (base == 16 && tok.size() >= 2 && tok[0] == '0' &&
+      (tok[1] == 'x' || tok[1] == 'X')) {
+    tok.remove_prefix(2);
+  }
+  end = tok.data() + tok.size();
+  r = std::from_chars(tok.data(), end, v, base);
+  if (r.ec != std::errc() || r.ptr != end) return false;
+  *out = negate ? 0 - v : v;
+  return true;
 }
 
-bool ParseHex32(std::istringstream* in, uint32_t* out) {
-  std::string tok;
-  if (!(*in >> tok)) return false;
-  char* end = nullptr;
-  errno = 0;
-  const uint64_t v = std::strtoull(tok.c_str(), &end, 16);
-  if (errno != 0 || end == nullptr || *end != '\0' || tok.empty() ||
-      v > 0xffffffffull) {
-    return false;
-  }
+bool ParseHex32(std::string_view tok, uint32_t* out) {
+  uint64_t v = 0;
+  if (!ParseUnsigned(tok, 16, &v) || v > 0xffffffffull) return false;
   *out = static_cast<uint32_t>(v);
   return true;
 }
 
-std::string Hex32(uint32_t v) {
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%08x", v);
-  return buf;
-}
+// Cursor over the whitespace-separated tokens of one line.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view text) : text_(text) {}
 
-void AppendSensorRows(
-    std::string* out,
-    const std::vector<std::pair<SensorId, uint32_t>>& sensor_rows) {
-  out->push_back(' ');
-  out->append(std::to_string(sensor_rows.size()));
-  for (const auto& [sensor, count] : sensor_rows) {
-    out->push_back(' ');
-    out->append(std::to_string(sensor));
-    out->push_back(' ');
-    out->append(std::to_string(count));
+  // The next token, or false when only whitespace is left.
+  bool Next(std::string_view* tok) {
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+    if (pos_ == text_.size()) return false;
+    const size_t start = pos_;
+    while (pos_ < text_.size() && !IsSpace(text_[pos_])) ++pos_;
+    *tok = text_.substr(start, pos_ - start);
+    return true;
   }
-}
+  bool U64(uint64_t* out) {
+    std::string_view tok;
+    return Next(&tok) && ParseUnsigned(tok, 10, out);
+  }
+  bool U32(uint32_t* out) {
+    uint64_t v = 0;
+    if (!U64(&v) || v > 0xffffffffull) return false;
+    *out = static_cast<uint32_t>(v);
+    return true;
+  }
+  // v1 stores segment and block ordinals as u64 and keeps the low 32 bits.
+  bool TruncatedU32(uint32_t* out) {
+    uint64_t v = 0;
+    if (!U64(&v)) return false;
+    *out = static_cast<uint32_t>(v);
+    return true;
+  }
+  bool Hex32(uint32_t* out) {
+    std::string_view tok;
+    return Next(&tok) && ParseHex32(tok, out);
+  }
+  // Everything after the last token read, separator included.
+  std::string_view rest() const { return text_.substr(pos_); }
 
-bool ParseSensorRows(std::istringstream* in,
+ private:
+  std::string_view text_;
+  size_t pos_ = 0;
+};
+
+bool ParseSensorRows(Tokens* in,
                      std::vector<std::pair<SensorId, uint32_t>>* out) {
   uint64_t n = 0;
-  if (!ParseU64(in, &n) || n > (1u << 20)) return false;
-  out->clear();
-  out->reserve(n);
+  if (!in->U64(&n) || n > (1u << 20)) return false;
+  // A pair takes at least four bytes (" s c"), so the rest of the line
+  // bounds the reservation: a CRC-valid line claiming a million pairs
+  // fails below without a large allocation first.
+  out->reserve(std::min<uint64_t>(n, in->rest().size() / 4));
   for (uint64_t i = 0; i < n; ++i) {
-    uint64_t sensor = 0, count = 0;
-    if (!ParseU64(in, &sensor) || !ParseU64(in, &count) ||
-        count > 0xffffffffull) {
-      return false;
-    }
-    out->emplace_back(static_cast<SensorId>(sensor),
-                      static_cast<uint32_t>(count));
+    uint64_t sensor = 0;
+    uint32_t count = 0;
+    if (!in->U64(&sensor) || !in->U32(&count)) return false;
+    out->emplace_back(static_cast<SensorId>(sensor), count);
   }
   return true;
 }
 
-}  // namespace
-
-uint32_t Crc32c(const char* data, size_t n) {
-  return Crc32cExtend(0, data, n);
+// Appends ' ' and `v` in decimal (std::to_string's digits).
+template <typename T>
+void PutDec(std::string* out, T v) {
+  char buf[24] = {' '};
+  const auto res = std::to_chars(buf + 1, buf + sizeof(buf), v);
+  out->append(buf, res.ptr);
 }
+
+// Appends ' ' and `v` as exactly eight lower-case hex digits ("%08x").
+void PutHex32(std::string* out, uint32_t v) {
+  char buf[9] = {' ', '0', '0', '0', '0', '0', '0', '0', '0'};
+  char digits[8];
+  const auto res = std::to_chars(digits, digits + sizeof(digits), v, 16);
+  const size_t len = static_cast<size_t>(res.ptr - digits);
+  std::memcpy(buf + sizeof(buf) - len, digits, len);
+  out->append(buf, sizeof(buf));
+}
+
+std::string Hex32(uint32_t v) {
+  std::string out;
+  PutHex32(&out, v);
+  return out.substr(1);
+}
+
+void PutSensorRows(
+    std::string* out,
+    const std::vector<std::pair<SensorId, uint32_t>>& sensor_rows) {
+  PutDec(out, sensor_rows.size());
+  for (const auto& [sensor, count] : sensor_rows) {
+    PutDec(out, sensor);
+    PutDec(out, count);
+  }
+}
+
+}  // namespace
 
 const char* BlockDefectName(BlockDefect defect) {
   switch (defect) {
@@ -175,8 +230,8 @@ std::string EncodeBlock(const ColumnarBlock& block) {
   AppendRaw(&header, kBlockTypeColumnar);
   AppendRaw(&header, static_cast<uint16_t>(0));
   AppendRaw(&header, static_cast<uint32_t>(payload.size()));
-  uint32_t crc = Crc32cExtend(0, header.data() + 4, 8);
-  crc = Crc32cExtend(crc, payload.data(), payload.size());
+  uint32_t crc = kernels::Crc32cExtend(0, header.data() + 4, 8);
+  crc = kernels::Crc32cExtend(crc, payload.data(), payload.size());
   AppendRaw(&header, crc);
   return header + payload;
 }
@@ -212,8 +267,8 @@ ParsedBlock ParseBlockAt(std::string_view segment, uint64_t offset) {
   }
   out.bytes_consumed = kBlockHeaderSize + payload_len;
   const char* payload = header + kBlockHeaderSize;
-  uint32_t crc = Crc32cExtend(0, header + 4, 8);
-  crc = Crc32cExtend(crc, payload, payload_len);
+  uint32_t crc = kernels::Crc32cExtend(0, header + 4, 8);
+  crc = kernels::Crc32cExtend(crc, payload, payload_len);
   if (crc != out.crc) {
     out.defect = BlockDefect::kBadCrc;
     return out;
@@ -248,35 +303,61 @@ ParsedBlock ParseBlockAt(std::string_view segment, uint64_t offset) {
 // ---------------------------------------------------------------------------
 
 std::string SerializeManifest(const Manifest& m) {
-  std::string out = "# sidq-store manifest v1\n";
-  out += "gen " + std::to_string(m.gen) + "\n";
-  if (m.prev_gen == 0) {
-    out += "prev none\n";
-  } else {
-    out += "prev " + std::to_string(m.prev_gen) + " " + Hex32(m.prev_crc) +
-           "\n";
-  }
-  out += "field " + m.field_name + "\n";
-  out += "segments " + std::to_string(m.num_segments) + "\n";
-  out += "rows " + std::to_string(m.rows) + "\n";
+  // One reserved buffer: a line costs ~64 bytes plus ~12 per sensor pair.
+  size_t estimate = 256 + m.field_name.size();
   for (const BlockEntry& b : m.blocks) {
-    out += "block " + std::to_string(b.segment) + " " +
-           std::to_string(b.index) + " " + std::to_string(b.offset) + " " +
-           std::to_string(b.length) + " " + Hex32(b.crc) + " " +
-           std::to_string(b.row_start) + " " + std::to_string(b.row_count);
-    AppendSensorRows(&out, b.sensor_rows);
-    out += "\n";
+    estimate += 64 + 12 * b.sensor_rows.size();
   }
   for (const QuarantinedBlockEntry& q : m.quarantined) {
-    out += "quarantine " + std::to_string(q.segment) + " " +
-           std::to_string(q.index) + " " +
-           std::to_string(static_cast<int>(q.defect)) + " " +
-           std::to_string(q.offset) + " " + std::to_string(q.length) + " " +
-           std::to_string(q.row_start) + " " + std::to_string(q.row_count);
-    AppendSensorRows(&out, q.sensor_rows);
-    out += "\n";
+    estimate += 64 + 12 * q.sensor_rows.size();
   }
-  out += "commit " + Hex32(Crc32c(out.data(), out.size())) + "\n";
+  std::string out;
+  out.reserve(estimate);
+  out += kManifestHeader;
+  out += "\ngen";
+  PutDec(&out, m.gen);
+  if (m.prev_gen == 0) {
+    out += "\nprev none";
+  } else {
+    out += "\nprev";
+    PutDec(&out, m.prev_gen);
+    PutHex32(&out, m.prev_crc);
+  }
+  out += "\nfield ";
+  out += m.field_name;
+  out += "\nsegments";
+  PutDec(&out, m.num_segments);
+  out += "\nrows";
+  PutDec(&out, m.rows);
+  out += '\n';
+  for (const BlockEntry& b : m.blocks) {
+    out += "block";
+    PutDec(&out, b.segment);
+    PutDec(&out, b.index);
+    PutDec(&out, b.offset);
+    PutDec(&out, b.length);
+    PutHex32(&out, b.crc);
+    PutDec(&out, b.row_start);
+    PutDec(&out, b.row_count);
+    PutSensorRows(&out, b.sensor_rows);
+    out += '\n';
+  }
+  for (const QuarantinedBlockEntry& q : m.quarantined) {
+    out += "quarantine";
+    PutDec(&out, q.segment);
+    PutDec(&out, q.index);
+    PutDec(&out, static_cast<int>(q.defect));
+    PutDec(&out, q.offset);
+    PutDec(&out, q.length);
+    PutDec(&out, q.row_start);
+    PutDec(&out, q.row_count);
+    PutSensorRows(&out, q.sensor_rows);
+    out += '\n';
+  }
+  const uint32_t crc = Crc32c(out);
+  out += "commit";
+  PutHex32(&out, crc);
+  out += '\n';
   return out;
 }
 
@@ -294,25 +375,20 @@ StatusOr<ParsedManifest> ParseManifest(std::string_view text) {
   if (text.back() != '\n') {
     return Status::DataLoss("manifest commit line unterminated (torn)");
   }
-  std::istringstream commit_line(
-      std::string(text.substr(commit_pos + 7)));
+  Tokens commit_line(text.substr(commit_pos + 7));
+  std::string_view tok;
   uint32_t commit_crc = 0;
-  {
-    std::string tok;
-    if (!(commit_line >> tok)) {
-      return Status::DataLoss("manifest commit line unreadable (torn)");
-    }
-    std::istringstream hex_in(tok);
-    if (!ParseHex32(&hex_in, &commit_crc)) {
-      return Status::DataLoss("manifest commit crc unreadable (torn)");
-    }
-    std::string trailing;
-    if (commit_line >> trailing) {
-      return Status::InvalidArgument("garbage after manifest commit line");
-    }
+  if (!commit_line.Next(&tok)) {
+    return Status::DataLoss("manifest commit line unreadable (torn)");
   }
-  const uint32_t actual =
-      Crc32c(text.data(), commit_pos);
+  if (!ParseHex32(tok, &commit_crc)) {
+    return Status::DataLoss("manifest commit crc unreadable (torn)");
+  }
+  if (commit_line.Next(&tok)) {
+    return Status::InvalidArgument("garbage after manifest commit line");
+  }
+  const std::string_view body = text.substr(0, commit_pos);
+  const uint32_t actual = Crc32c(body);
   if (actual != commit_crc) {
     return Status::DataLoss("manifest commit crc mismatch: recorded " +
                             Hex32(commit_crc) + ", computed " + Hex32(actual));
@@ -321,86 +397,81 @@ StatusOr<ParsedManifest> ParseManifest(std::string_view text) {
   ParsedManifest out;
   out.commit_crc = commit_crc;
   Manifest& m = out.manifest;
-  std::istringstream body{std::string(text.substr(0, commit_pos))};
-  std::string line;
-  if (!std::getline(body, line) || line != "# sidq-store manifest v1") {
-    return Status::InvalidArgument("bad manifest header line: " + line);
+  // The body is empty or ends in '\n' (the byte before "commit ").
+  size_t pos = body.find('\n');
+  if (body.empty() || body.substr(0, pos) != kManifestHeader) {
+    return Status::InvalidArgument("bad manifest header line: " +
+                                   std::string(body.substr(0, pos)));
   }
   bool saw_gen = false, saw_field = false, saw_segments = false,
        saw_rows = false, saw_prev = false;
-  while (std::getline(body, line)) {
-    std::istringstream in(line);
-    std::string kind;
-    if (!(in >> kind)) continue;
+  for (++pos; pos < body.size();) {
+    const size_t eol = body.find('\n', pos);
+    const std::string_view line = body.substr(pos, eol - pos);
+    pos = eol + 1;
+    Tokens in(line);
+    std::string_view kind;
+    if (!in.Next(&kind)) continue;
     if (kind == "gen") {
-      if (!ParseU64(&in, &m.gen)) {
-        return Status::InvalidArgument("bad gen line: " + line);
+      if (!in.U64(&m.gen)) {
+        return Status::InvalidArgument("bad gen line: " + std::string(line));
       }
       saw_gen = true;
     } else if (kind == "prev") {
-      std::string tok;
-      if (!(in >> tok)) {
-        return Status::InvalidArgument("bad prev line: " + line);
+      if (!in.Next(&tok)) {
+        return Status::InvalidArgument("bad prev line: " + std::string(line));
       }
       if (tok != "none") {
-        std::istringstream gen_in(tok);
-        if (!ParseU64(&gen_in, &m.prev_gen)) {
-          return Status::InvalidArgument("bad prev gen: " + line);
+        if (!ParseUnsigned(tok, 10, &m.prev_gen)) {
+          return Status::InvalidArgument("bad prev gen: " +
+                                         std::string(line));
         }
-        if (!ParseHex32(&in, &m.prev_crc)) {
-          return Status::InvalidArgument("bad prev crc: " + line);
+        if (!in.Hex32(&m.prev_crc)) {
+          return Status::InvalidArgument("bad prev crc: " +
+                                         std::string(line));
         }
       }
       saw_prev = true;
     } else if (kind == "field") {
-      std::string rest;
-      std::getline(in, rest);
-      m.field_name = rest.empty() ? "" : rest.substr(1);  // skip the space
+      // The name is the rest of the line after one separator, verbatim.
+      const std::string_view rest = in.rest();
+      m.field_name = std::string(rest.empty() ? rest : rest.substr(1));
       saw_field = true;
     } else if (kind == "segments") {
-      uint64_t v = 0;
-      if (!ParseU64(&in, &v) || v > 0xffffffffull) {
-        return Status::InvalidArgument("bad segments line: " + line);
+      if (!in.U32(&m.num_segments)) {
+        return Status::InvalidArgument("bad segments line: " +
+                                       std::string(line));
       }
-      m.num_segments = static_cast<uint32_t>(v);
       saw_segments = true;
     } else if (kind == "rows") {
-      if (!ParseU64(&in, &m.rows)) {
-        return Status::InvalidArgument("bad rows line: " + line);
+      if (!in.U64(&m.rows)) {
+        return Status::InvalidArgument("bad rows line: " + std::string(line));
       }
       saw_rows = true;
     } else if (kind == "block") {
-      BlockEntry b;
-      uint64_t seg = 0, idx = 0, count = 0;
-      if (!ParseU64(&in, &seg) || !ParseU64(&in, &idx) ||
-          !ParseU64(&in, &b.offset) || !ParseU64(&in, &b.length) ||
-          !ParseHex32(&in, &b.crc) || !ParseU64(&in, &b.row_start) ||
-          !ParseU64(&in, &count) || count > 0xffffffffull ||
+      BlockEntry& b = m.blocks.emplace_back();
+      if (!in.TruncatedU32(&b.segment) || !in.TruncatedU32(&b.index) ||
+          !in.U64(&b.offset) || !in.U64(&b.length) || !in.Hex32(&b.crc) ||
+          !in.U64(&b.row_start) || !in.U32(&b.row_count) ||
           !ParseSensorRows(&in, &b.sensor_rows)) {
-        return Status::InvalidArgument("bad block line: " + line);
+        return Status::InvalidArgument("bad block line: " +
+                                       std::string(line));
       }
-      b.segment = static_cast<uint32_t>(seg);
-      b.index = static_cast<uint32_t>(idx);
-      b.row_count = static_cast<uint32_t>(count);
-      m.blocks.push_back(std::move(b));
     } else if (kind == "quarantine") {
-      QuarantinedBlockEntry q;
-      uint64_t seg = 0, idx = 0, defect = 0, count = 0;
-      if (!ParseU64(&in, &seg) || !ParseU64(&in, &idx) ||
-          !ParseU64(&in, &defect) || !ParseU64(&in, &q.offset) ||
-          !ParseU64(&in, &q.length) || !ParseU64(&in, &q.row_start) ||
-          !ParseU64(&in, &count) || count > 0xffffffffull ||
+      QuarantinedBlockEntry& q = m.quarantined.emplace_back();
+      uint64_t defect = 0;
+      if (!in.TruncatedU32(&q.segment) || !in.TruncatedU32(&q.index) ||
+          !in.U64(&defect) || !in.U64(&q.offset) || !in.U64(&q.length) ||
+          !in.U64(&q.row_start) || !in.U32(&q.row_count) ||
           defect > static_cast<uint64_t>(BlockDefect::kManifestMismatch) ||
           !ParseSensorRows(&in, &q.sensor_rows)) {
-        return Status::InvalidArgument("bad quarantine line: " + line);
+        return Status::InvalidArgument("bad quarantine line: " +
+                                       std::string(line));
       }
-      q.segment = static_cast<uint32_t>(seg);
-      q.index = static_cast<uint32_t>(idx);
       q.defect = static_cast<BlockDefect>(defect);
-      q.row_count = static_cast<uint32_t>(count);
-      m.quarantined.push_back(std::move(q));
     } else {
-      return Status::InvalidArgument("unknown manifest line: " + line);
+      return Status::InvalidArgument("unknown manifest line: " +
+                                     std::string(line));
     }
   }
   if (!saw_gen || !saw_prev || !saw_field || !saw_segments || !saw_rows) {
@@ -408,7 +479,6 @@ StatusOr<ParsedManifest> ParseManifest(std::string_view text) {
   }
   return out;
 }
-
 std::string ManifestFileName(uint64_t gen) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "MANIFEST-%06" PRIu64, gen);
@@ -455,20 +525,23 @@ bool ParseSegmentFileName(const std::string& name, uint32_t* segment) {
 }
 
 std::string SerializeCurrent(uint64_t gen, uint32_t commit_crc) {
-  return ManifestFileName(gen) + " " + Hex32(commit_crc) + "\n";
+  std::string out = ManifestFileName(gen);
+  PutHex32(&out, commit_crc);
+  out += '\n';
+  return out;
 }
 
 Status ParseCurrent(std::string_view text, uint64_t* gen,
                     uint32_t* commit_crc) {
-  std::istringstream in{std::string(text)};
-  std::string name;
-  if (!(in >> name)) {
+  Tokens in(text);
+  std::string_view name, crc;
+  if (!in.Next(&name)) {
     return Status::DataLoss("CURRENT is empty or unreadable");
   }
-  if (!ParseManifestFileName(name, gen)) {
-    return Status::DataLoss("CURRENT names no manifest: " + name);
+  if (!ParseManifestFileName(std::string(name), gen)) {
+    return Status::DataLoss("CURRENT names no manifest: " + std::string(name));
   }
-  if (!ParseHex32(&in, commit_crc)) {
+  if (!in.Next(&crc) || !ParseHex32(crc, commit_crc)) {
     return Status::DataLoss("CURRENT has no commit crc");
   }
   return Status::OK();

@@ -10,6 +10,7 @@
 #include "core/statusor.h"
 #include "core/stid.h"
 #include "core/types.h"
+#include "kernels/crc32c.h"
 
 namespace sidq {
 namespace store {
@@ -43,12 +44,16 @@ namespace store {
 // builds on; a static_assert in format.cc pins the assumption).
 // -------------------------------------------------------------------------
 
-// CRC32C (Castagnoli), software table-driven; matches the polynomial
-// hardware SSE4.2 crc32 would give, so an accelerated swap stays
-// format-compatible.
-uint32_t Crc32c(const char* data, size_t n);
+// CRC32C (Castagnoli) of every block and manifest: the dispatched kernel
+// (kernels/crc32c.h) -- the SSE4.2 crc32 instruction where the CPU has it
+// and the kernel tier is not scalar, else the software table loop. Both
+// paths compute the same polynomial, so the on-disk bytes never depend on
+// which one wrote them.
+inline uint32_t Crc32c(const char* data, size_t n) {
+  return kernels::Crc32c(data, n);
+}
 inline uint32_t Crc32c(std::string_view data) {
-  return Crc32c(data.data(), data.size());
+  return kernels::Crc32c(data.data(), data.size());
 }
 
 inline constexpr char kBlockMagic[4] = {'S', 'B', 'L', 'K'};

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -19,6 +20,37 @@ std::vector<std::pair<SensorId, uint32_t>> SensorRowsOf(
   for (SensorId s : block.sensor) ++counts[s];
   return {counts.begin(), counts.end()};
 }
+
+// Per-sensor recovered/lost row sums. Recovery adds one (sensor, rows)
+// pair per sensor per block -- millions on a large store -- so the sums
+// live in a flat vector behind a hash index, and reach the ordered
+// RecoveryReport::sensor_quality once, sensor-ascending, in FoldInto.
+class SensorTally {
+ public:
+  void Add(const std::vector<std::pair<SensorId, uint32_t>>& sensor_rows,
+           bool lost) {
+    for (const auto& [sensor, count] : sensor_rows) {
+      const auto [it, inserted] = slot_.try_emplace(sensor, sums_.size());
+      if (inserted) sums_.emplace_back(sensor, SensorQuality{});
+      SensorQuality& q = sums_[it->second].second;
+      (lost ? q.rows_lost : q.rows_recovered) += count;
+    }
+  }
+
+  void FoldInto(std::map<SensorId, SensorQuality>* out) {
+    std::sort(sums_.begin(), sums_.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    for (const auto& [sensor, sum] : sums_) {
+      SensorQuality& q = out->try_emplace(out->end(), sensor)->second;
+      q.rows_recovered += sum.rows_recovered;
+      q.rows_lost += sum.rows_lost;
+    }
+  }
+
+ private:
+  std::unordered_map<SensorId, size_t> slot_;
+  std::vector<std::pair<SensorId, SensorQuality>> sums_;
+};
 
 // The commit CRC of a serialized manifest covers every byte before the
 // trailing commit line; recomputing it here avoids re-parsing what we
@@ -216,10 +248,22 @@ Status Store::Recover() {
     blocks = std::max(blocks, index + 1);
   };
 
+  SensorTally tally;
+  auto recovered = [&](const BlockEntry& entry) {
+    recovery_.rows_recovered += entry.row_count;
+    tally.Add(entry.sensor_rows, /*lost=*/false);
+  };
+  auto quarantine = [&](QuarantinedBlockEntry q) {
+    recovery_.rows_lost += q.row_count;
+    tally.Add(q.sensor_rows, /*lost=*/true);
+    recovery_.quarantined.push_back(q);
+    quarantined_.push_back(std::move(q));
+  };
+
   // 3. Carried quarantine verdicts stay visible across reopens.
-  for (const QuarantinedBlockEntry& q : manifest.quarantined) {
+  for (QuarantinedBlockEntry& q : manifest.quarantined) {
     account(q.segment, q.offset, q.length, q.index);
-    Quarantine(q);
+    quarantine(std::move(q));
   }
 
   // 4. CRC-verify every manifested block against both its self-checksum
@@ -228,15 +272,15 @@ Status Store::Recover() {
   //    the cache (budget-evicted), so recovery RSS stays flat on stores
   //    far larger than RAM. A missing/unreadable segment verdicts as
   //    short-header, exactly like the empty file it effectively is.
-  for (const BlockEntry& entry : manifest.blocks) {
+  for (BlockEntry& entry : manifest.blocks) {
     account(entry.segment, entry.offset, entry.length, entry.index);
     BlockDefect defect = BlockDefect::kNone;
     PinnedBlock block;
     SIDQ_RETURN_IF_ERROR(reader_->Read(
         entry, BlockReader::MissingPolicy::kDefect, &defect, &block));
     if (defect == BlockDefect::kNone) {
-      committed_.push_back(entry);
-      CountRecovered(entry);
+      recovered(entry);
+      committed_.push_back(std::move(entry));
       ++recovery_.blocks_verified;
     } else {
       QuarantinedBlockEntry q;
@@ -247,8 +291,8 @@ Status Store::Recover() {
       q.length = entry.length;
       q.row_start = entry.row_start;
       q.row_count = entry.row_count;
-      q.sensor_rows = entry.sensor_rows;
-      Quarantine(std::move(q));
+      q.sensor_rows = std::move(entry.sensor_rows);
+      quarantine(std::move(q));
       dirty_ = true;
     }
   }
@@ -294,8 +338,8 @@ Status Store::Recover() {
           entry.sensor_rows = SensorRowsOf(b.block);
           next_row_ += entry.row_count;
           account(segment, entry.offset, entry.length, entry.index);
-          committed_.push_back(entry);
-          CountRecovered(entry);
+          recovered(entry);
+          committed_.push_back(std::move(entry));
           ++recovery_.tail_blocks_recovered;
           dirty_ = true;
         }));
@@ -331,6 +375,7 @@ Status Store::Recover() {
     }
   }
   open_row_start_ = next_row_;
+  tally.FoldInto(&recovery_.sensor_quality);
   return Status::OK();
 }
 
@@ -393,22 +438,6 @@ Status Store::RollForwardCompaction(const Manifest& manifest,
     SIDQ_RETURN_IF_ERROR(vfs_->SyncDir(dir_));
   }
   return Status::OK();
-}
-
-void Store::CountRecovered(const BlockEntry& entry) {
-  recovery_.rows_recovered += entry.row_count;
-  for (const auto& [sensor, count] : entry.sensor_rows) {
-    recovery_.sensor_quality[sensor].rows_recovered += count;
-  }
-}
-
-void Store::Quarantine(QuarantinedBlockEntry q) {
-  recovery_.rows_lost += q.row_count;
-  for (const auto& [sensor, count] : q.sensor_rows) {
-    recovery_.sensor_quality[sensor].rows_lost += count;
-  }
-  recovery_.quarantined.push_back(q);
-  quarantined_.push_back(std::move(q));
 }
 
 Status Store::EnsureWriter() {

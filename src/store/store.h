@@ -180,8 +180,6 @@ class Store {
   [[nodiscard]] Status ScanEntries(
       const std::vector<BlockEntry>& entries,
       const std::function<void(uint64_t, const StRecord&)>& fn) const;
-  void CountRecovered(const BlockEntry& entry);
-  void Quarantine(QuarantinedBlockEntry q);
 
   Vfs* vfs_;
   std::string dir_;

@@ -8,15 +8,14 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/random.h"
+#include "force_isa_guard.h"
 #include "kernels/dispatch.h"
 
 namespace sidq {
@@ -74,29 +73,6 @@ void ExpectBytesEqual(const std::vector<double>& ref,
                            ref.size() * sizeof(double)))
       << what << " diverges from scalar on tier " << IsaName(isa);
 }
-
-// Restores the dispatch state (env + resolved table) no matter how a test
-// exits, so tier-forcing tests cannot leak into later tests.
-class ForceIsaGuard {
- public:
-  ForceIsaGuard() {
-    const char* v = std::getenv("SIDQ_FORCE_ISA");
-    if (v != nullptr) saved_ = v;
-    had_ = v != nullptr;
-  }
-  ~ForceIsaGuard() {
-    if (had_) {
-      setenv("SIDQ_FORCE_ISA", saved_.c_str(), 1);
-    } else {
-      unsetenv("SIDQ_FORCE_ISA");
-    }
-    KernelDispatch::ReinitForTest();
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 // ------------------------------------------------ per-primitive identity
 
@@ -354,20 +330,17 @@ TEST(KernelDispatchTest, WorkloadChecksumIdenticalAcrossTiers) {
 TEST(KernelDispatchTest, ForceIsaPinsEveryAvailableTier) {
   ForceIsaGuard guard;
   for (Isa isa : CompiledTiers()) {
-    setenv("SIDQ_FORCE_ISA", IsaName(isa), 1);
-    KernelDispatch::ReinitForTest();
+    guard.Force(IsaName(isa));
     EXPECT_EQ(KernelDispatch::Active(), isa) << "forcing " << IsaName(isa);
     EXPECT_EQ(KernelDispatch::Get().isa, isa);
   }
-  unsetenv("SIDQ_FORCE_ISA");
-  KernelDispatch::ReinitForTest();
+  guard.Force(nullptr);
   EXPECT_EQ(KernelDispatch::Active(), KernelDispatch::Best());
 }
 
 TEST(KernelDispatchTest, UnknownForceValueFallsBackToBest) {
   ForceIsaGuard guard;
-  setenv("SIDQ_FORCE_ISA", "pentium-pro", 1);
-  KernelDispatch::ReinitForTest();
+  guard.Force("pentium-pro");
   EXPECT_EQ(KernelDispatch::Active(), KernelDispatch::Best());
 }
 
@@ -376,16 +349,14 @@ TEST(KernelDispatchTest, UnavailableForceClampsDownNotUp) {
   // Forcing the widest tier must never resolve to something wider than the
   // host supports: exactly avx512 when available, else the best tier at or
   // below it (which is Best(), since avx512 is the widest).
-  setenv("SIDQ_FORCE_ISA", "avx512", 1);
-  KernelDispatch::ReinitForTest();
+  guard.Force("avx512");
   if (KernelDispatch::Available(Isa::kAvx512)) {
     EXPECT_EQ(KernelDispatch::Active(), Isa::kAvx512);
   } else {
     EXPECT_EQ(KernelDispatch::Active(), KernelDispatch::Best());
   }
   // Forcing scalar always lands exactly on scalar.
-  setenv("SIDQ_FORCE_ISA", "scalar", 1);
-  KernelDispatch::ReinitForTest();
+  guard.Force("scalar");
   EXPECT_EQ(KernelDispatch::Active(), Isa::kScalar);
 }
 

@@ -341,14 +341,23 @@ TEST(NetworkCompressionTest, EndToEndWithMapMatcher) {
 
 // Parameterised: every simplifier's output is monotone in time and retains
 // the endpoints -- invariants any downstream consumer relies on.
+// The parameter carries its simplifier's name so gtest prints that instead
+// of the function address, which would change from run to run.
 using SimplifierFn = StatusOr<Trajectory> (*)(const Trajectory&, double);
 
+struct SimplifierCase {
+  const char* name;
+  SimplifierFn fn;
+};
+
+void PrintTo(const SimplifierCase& c, std::ostream* os) { *os << c.name; }
+
 class SimplifierInvariantTest
-    : public ::testing::TestWithParam<SimplifierFn> {};
+    : public ::testing::TestWithParam<SimplifierCase> {};
 
 TEST_P(SimplifierInvariantTest, TimeOrderedAndEndpointPreserving) {
   const Trajectory tr = Zigzag(300);
-  const auto simp = GetParam()(tr, 6.0);
+  const auto simp = GetParam().fn(tr, 6.0);
   ASSERT_TRUE(simp.ok());
   EXPECT_TRUE(simp->IsTimeOrdered());
   EXPECT_EQ(simp->front().t, tr.front().t);
@@ -357,10 +366,14 @@ TEST_P(SimplifierInvariantTest, TimeOrderedAndEndpointPreserving) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSimplifiers, SimplifierInvariantTest,
-                         ::testing::Values(&DouglasPeuckerSed,
-                                           &DouglasPeuckerPerp,
-                                           &DeadReckoning, &OpeningWindow,
-                                           &SquishE));
+                         ::testing::Values(
+                             SimplifierCase{"DouglasPeuckerSed",
+                                            &DouglasPeuckerSed},
+                             SimplifierCase{"DouglasPeuckerPerp",
+                                            &DouglasPeuckerPerp},
+                             SimplifierCase{"DeadReckoning", &DeadReckoning},
+                             SimplifierCase{"OpeningWindow", &OpeningWindow},
+                             SimplifierCase{"SquishE", &SquishE}));
 
 }  // namespace
 }  // namespace reduce

@@ -4,8 +4,11 @@
 // corruption and torn tails. The exhaustive crash-point sweep lives in
 // store_crash_test.cc.
 
+#include <cctype>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -17,6 +20,8 @@
 #include <gtest/gtest.h>
 
 #include "core/stid.h"
+#include "force_isa_guard.h"
+#include "kernels/crc32c.h"
 #include "obs/metrics.h"
 #include "store/format.h"
 #include "store/segment.h"
@@ -204,6 +209,273 @@ TEST(ManifestTest, FileNames) {
   EXPECT_FALSE(ParseSegmentFileName("000003.seg.tmp", &seg));
 }
 
+// The serializer's output IS the on-disk format: padding, separators and
+// field order drifting would change every commit CRC, so pin the bytes.
+TEST(ManifestTest, SerializeIsByteExactGolden) {
+  EXPECT_EQ(SerializeManifest(SampleManifest()),
+            "# sidq-store manifest v1\n"
+            "gen 3\n"
+            "prev 2 deadbeef\n"
+            "field pm2.5\n"
+            "segments 2\n"
+            "rows 40\n"
+            "block 0 0 0 784 12345678 0 16 2 1 10 2 6\n"
+            "quarantine 0 1 6 784 784 16 16 1 1 16\n"
+            "commit d31e6ed7\n");
+
+  // Extremes: no predecessor, empty field name, zero-padded hex, the
+  // widest integers every column holds, an empty sensor_rows run.
+  Manifest m;
+  m.gen = 1;
+  m.num_segments = 0xffffffffu;
+  m.rows = std::numeric_limits<uint64_t>::max();
+  BlockEntry b;
+  b.segment = 0xffffffffu;
+  b.index = 7;
+  b.offset = std::numeric_limits<uint64_t>::max();
+  b.length = 16;
+  b.crc = 0xab;
+  b.row_start = 1234567890123ull;
+  b.row_count = 0;
+  m.blocks.push_back(b);
+  b.crc = 0;
+  b.sensor_rows = {{0, 1},
+                   {std::numeric_limits<SensorId>::max(), 0xffffffffu}};
+  m.blocks.push_back(b);
+  EXPECT_EQ(SerializeManifest(m),
+            "# sidq-store manifest v1\n"
+            "gen 1\n"
+            "prev none\n"
+            "field \n"
+            "segments 4294967295\n"
+            "rows 18446744073709551615\n"
+            "block 4294967295 7 18446744073709551615 16 000000ab "
+            "1234567890123 0 0\n"
+            "block 4294967295 7 18446744073709551615 16 00000000 "
+            "1234567890123 0 2 0 1 18446744073709551615 4294967295\n"
+            "commit 5f084d1f\n");
+}
+
+// Re-seals a manifest body (every byte before the commit line) with a valid
+// commit CRC, so a structural defect reaches the body parser instead of
+// failing the checksum first.
+std::string Reseal(const std::string& body) {
+  char hex[9];
+  std::snprintf(hex, sizeof(hex), "%08x", Crc32c(body.data(), body.size()));
+  return body + "commit " + hex + "\n";
+}
+
+// SampleManifest()'s body, one entry per line (without the newline):
+// 0 header, 1 gen, 2 prev, 3 field, 4 segments, 5 rows, 6 block,
+// 7 quarantine.
+std::vector<std::string> SampleBodyLines() {
+  const std::string text = SerializeManifest(SampleManifest());
+  const std::string body = text.substr(0, text.rfind("commit "));
+  std::vector<std::string> lines;
+  size_t pos = 0;
+  while (pos < body.size()) {
+    const size_t nl = body.find('\n', pos);
+    lines.push_back(body.substr(pos, nl - pos));
+    pos = nl + 1;
+  }
+  return lines;
+}
+
+// Every CRC-valid malformation maps to the reason code the v1 codec has
+// always given it. The grammar is whitespace-separated tokens; a token is
+// read the way strtoull reads it (optional sign, `0x` in hex, cut at a NUL
+// byte), and tokens after a line's last field are ignored. Those edges
+// are pinned too, so a codec rewrite cannot silently narrow or widen what
+// a stored manifest may contain.
+TEST(ManifestTest, HostileManifestsKeepTheirReasonCodes) {
+  enum class Op { kReplace, kInsert, kErase };
+  struct Case {
+    const char* name;
+    Op op;
+    size_t line;
+    std::string text;
+    StatusCode code;
+  };
+  const StatusCode kOk = StatusCode::kOk;
+  const StatusCode kBad = StatusCode::kInvalidArgument;
+  const std::vector<Case> cases = {
+      {"pristine", Op::kReplace, 1, "gen 3", kOk},
+      {"gen not a number", Op::kReplace, 1, "gen x3", kBad},
+      {"gen trailing junk", Op::kReplace, 1, "gen 3x", kBad},
+      {"gen u64 max", Op::kReplace, 1, "gen 18446744073709551615", kOk},
+      {"gen overflows u64", Op::kReplace, 1, "gen 18446744073709551616",
+       kBad},
+      {"gen missing value", Op::kReplace, 1, "gen", kBad},
+      {"gen extra token", Op::kReplace, 1, "gen 3 4", kOk},
+      {"gen plus sign", Op::kReplace, 1, "gen +3", kOk},
+      {"gen minus sign wraps", Op::kReplace, 1, "gen -3", kOk},
+      {"gen bare sign", Op::kReplace, 1, "gen -", kBad},
+      {"gen cut at NUL", Op::kReplace, 1, std::string("gen 3\0z", 7), kOk},
+      {"gen NUL only", Op::kReplace, 1, std::string("gen \0", 5), kOk},
+      {"gen tab separated", Op::kReplace, 1, "\tgen\t3\r", kOk},
+      {"gen hex digits", Op::kReplace, 1, "gen 0x3", kBad},
+      {"prev none", Op::kReplace, 2, "prev none", kOk},
+      {"prev missing crc", Op::kReplace, 2, "prev 2", kBad},
+      {"prev missing everything", Op::kReplace, 2, "prev", kBad},
+      {"prev non-hex crc", Op::kReplace, 2, "prev 2 deadbeeg", kBad},
+      {"prev crc over 32 bits", Op::kReplace, 2, "prev 2 1deadbeef", kBad},
+      {"prev crc 0x prefix", Op::kReplace, 2, "prev 2 0xdeadbeef", kOk},
+      {"prev crc upper case", Op::kReplace, 2, "prev 2 DEADBEEF", kOk},
+      {"prev crc bare 0x", Op::kReplace, 2, "prev 2 0x", kBad},
+      {"prev crc minus zero", Op::kReplace, 2, "prev 2 -0", kOk},
+      {"prev crc minus one", Op::kReplace, 2, "prev 2 -1", kBad},
+      {"prev bad gen", Op::kReplace, 2, "prev two deadbeef", kBad},
+      {"field empty", Op::kReplace, 3, "field", kOk},
+      {"field spaces kept", Op::kReplace, 3, "field  a b ", kOk},
+      {"field glued", Op::kReplace, 3, "fieldpm2.5", kBad},
+      {"segments u32 max", Op::kReplace, 4, "segments 4294967295", kOk},
+      {"segments overflow u32", Op::kReplace, 4, "segments 4294967296",
+       kBad},
+      {"rows missing value", Op::kReplace, 5, "rows ", kBad},
+      {"rows negative zero", Op::kReplace, 5, "rows -0", kOk},
+      {"block missing sensor rows", Op::kReplace, 6,
+       "block 0 0 0 784 12345678 0 16", kBad},
+      {"block missing a pair half", Op::kReplace, 6,
+       "block 0 0 0 784 12345678 0 16 2 1 10 2", kBad},
+      {"block sensor_rows longer than line", Op::kReplace, 6,
+       "block 0 0 0 784 12345678 0 16 3 1 10 2 6", kBad},
+      {"block sensor_rows at the old cap", Op::kReplace, 6,
+       "block 0 0 0 784 12345678 0 16 1048576 1 10", kBad},
+      {"block sensor_rows over the cap", Op::kReplace, 6,
+       "block 0 0 0 784 12345678 0 16 1048577 1 10", kBad},
+      {"block sensor_rows overflows u64", Op::kReplace, 6,
+       "block 0 0 0 784 12345678 0 16 99999999999999999999 1 10", kBad},
+      {"block row_count overflows u32", Op::kReplace, 6,
+       "block 0 0 0 784 12345678 0 4294967296 2 1 10 2 6", kBad},
+      {"block sensor count overflows u32", Op::kReplace, 6,
+       "block 0 0 0 784 12345678 0 16 2 1 4294967296 2 6", kBad},
+      {"block segment truncates to u32", Op::kReplace, 6,
+       "block 4294967296 0 0 784 12345678 0 16 2 1 10 2 6", kOk},
+      {"block non-hex crc", Op::kReplace, 6,
+       "block 0 0 0 784 1234567g 0 16 2 1 10 2 6", kBad},
+      {"block crc over 32 bits", Op::kReplace, 6,
+       "block 0 0 0 784 123456789 0 16 2 1 10 2 6", kBad},
+      {"block bad offset", Op::kReplace, 6,
+       "block 0 0 zero 784 12345678 0 16 2 1 10 2 6", kBad},
+      {"block extra token", Op::kReplace, 6,
+       "block 0 0 0 784 12345678 0 16 2 1 10 2 6 9", kOk},
+      {"block empty sensor_rows", Op::kReplace, 6,
+       "block 0 0 0 784 12345678 0 16 0", kOk},
+      {"quarantine defect out of range", Op::kReplace, 7,
+       "quarantine 0 1 9 784 784 16 16 1 1 16", kBad},
+      {"quarantine defect max", Op::kReplace, 7,
+       "quarantine 0 1 8 784 784 16 16 1 1 16", kOk},
+      {"quarantine missing fields", Op::kReplace, 7,
+       "quarantine 0 1 6 784 784 16", kBad},
+      {"quarantine extra token", Op::kReplace, 7,
+       "quarantine 0 1 6 784 784 16 16 1 1 16 x", kOk},
+      {"unknown line kind", Op::kInsert, 6, "bogus 1", kBad},
+      {"empty line", Op::kInsert, 6, "", kOk},
+      {"blank line", Op::kInsert, 6, " \t\v\f\r", kOk},
+      {"duplicate gen line", Op::kInsert, 2, "gen 4", kOk},
+      {"duplicate header", Op::kInsert, 1, "# sidq-store manifest v1", kBad},
+      {"no header", Op::kErase, 0, "", kBad},
+      {"header trailing space", Op::kReplace, 0, "# sidq-store manifest v1 ",
+       kBad},
+      {"header indented", Op::kReplace, 0, " # sidq-store manifest v1", kBad},
+      {"missing gen", Op::kErase, 1, "", kBad},
+      {"missing prev", Op::kErase, 2, "", kBad},
+      {"missing field", Op::kErase, 3, "", kBad},
+      {"missing segments", Op::kErase, 4, "", kBad},
+      {"missing rows", Op::kErase, 5, "", kBad},
+  };
+  for (const Case& c : cases) {
+    std::vector<std::string> lines = SampleBodyLines();
+    ASSERT_EQ(lines.size(), 8u);
+    switch (c.op) {
+      case Op::kReplace:
+        lines[c.line] = c.text;
+        break;
+      case Op::kInsert:
+        lines.insert(lines.begin() + static_cast<ptrdiff_t>(c.line), c.text);
+        break;
+      case Op::kErase:
+        lines.erase(lines.begin() + static_cast<ptrdiff_t>(c.line));
+        break;
+    }
+    std::string body;
+    for (const std::string& line : lines) body += line + "\n";
+    const StatusOr<ParsedManifest> got = ParseManifest(Reseal(body));
+    EXPECT_EQ(got.status().code(), c.code)
+        << c.name << ": " << got.status();
+  }
+
+  // Parsed values of the accepted edges.
+  auto parse_with = [](size_t line, const std::string& text) {
+    std::vector<std::string> lines = SampleBodyLines();
+    lines[line] = text;
+    std::string body;
+    for (const std::string& l : lines) body += l + "\n";
+    StatusOr<ParsedManifest> got = ParseManifest(Reseal(body));
+    EXPECT_TRUE(got.ok()) << text << ": " << got.status();
+    return got.ok() ? got->manifest : Manifest{};
+  };
+  EXPECT_EQ(parse_with(1, "gen -3").gen,
+            std::numeric_limits<uint64_t>::max() - 2);
+  EXPECT_EQ(parse_with(1, std::string("gen 3\0z", 7)).gen, 3u);
+  EXPECT_EQ(parse_with(1, std::string("gen \0", 5)).gen, 0u);
+  EXPECT_EQ(parse_with(2, "prev 2 0xDEADbeef").prev_crc, 0xdeadbeefu);
+  EXPECT_EQ(parse_with(2, "prev none").prev_gen, 0u);
+  EXPECT_EQ(parse_with(3, "field").field_name, "");
+  EXPECT_EQ(parse_with(3, "field  a b ").field_name, " a b ");
+  EXPECT_EQ(parse_with(3, "field\tpm 10").field_name, "pm 10");
+  EXPECT_EQ(parse_with(6, "block 4294967297 0 0 784 12345678 0 16 0")
+                .blocks[0]
+                .segment,
+            1u);
+}
+
+// The commit line is checked before the body: an unreadable or mismatched
+// commit is DataLoss (torn), trailing garbage is InvalidArgument.
+TEST(ManifestTest, HostileCommitLinesKeepTheirReasonCodes) {
+  std::string body;
+  for (const std::string& line : SampleBodyLines()) body += line + "\n";
+  char hex[9];
+  std::snprintf(hex, sizeof(hex), "%08x", Crc32c(body.data(), body.size()));
+  const std::string crc = hex;
+  std::string upper = crc;
+  for (char& ch : upper) ch = static_cast<char>(std::toupper(ch));
+  struct Case {
+    const char* name;
+    std::string text;
+    StatusCode code;
+  };
+  const std::vector<Case> cases = {
+      {"pristine", body + "commit " + crc + "\n", StatusCode::kOk},
+      {"upper-case crc", body + "commit " + upper + "\n", StatusCode::kOk},
+      {"0x crc", body + "commit 0x" + crc + "\n", StatusCode::kOk},
+      {"spaced crc", body + "commit \t " + crc + " \n", StatusCode::kOk},
+      {"empty", "", StatusCode::kDataLoss},
+      {"no commit line", body, StatusCode::kDataLoss},
+      {"commit glued to a line", body + "xcommit " + crc + "\n",
+       StatusCode::kDataLoss},
+      {"unterminated", body + "commit " + crc, StatusCode::kDataLoss},
+      {"no crc", body + "commit \n", StatusCode::kDataLoss},
+      {"non-hex crc", body + "commit " + crc.substr(0, 7) + "g\n",
+       StatusCode::kDataLoss},
+      {"crc over 32 bits", body + "commit 1" + crc + "\n",
+       StatusCode::kDataLoss},
+      {"crc mismatch", body + "commit " + (crc == "00000000" ? "1" : "0") +
+                           "\n",
+       StatusCode::kDataLoss},
+      {"garbage after crc", body + "commit " + crc + " x\n",
+       StatusCode::kInvalidArgument},
+      {"garbage line after commit", body + "commit " + crc + "\nx\n",
+       StatusCode::kInvalidArgument},
+      {"commit only", "commit " + Reseal("").substr(7),
+       StatusCode::kInvalidArgument},
+  };
+  for (const Case& c : cases) {
+    const StatusOr<ParsedManifest> got = ParseManifest(c.text);
+    EXPECT_EQ(got.status().code(), c.code) << c.name << ": " << got.status();
+  }
+}
+
 // --- MemVfs crash semantics ---
 
 TEST(MemVfsTest, UnsyncedBytesVanishOnCrash) {
@@ -314,6 +586,61 @@ TEST(StoreTest, AppendScanCommitReopenRoundTrip) {
                })
                   .ok());
   EXPECT_EQ(seen, kRows);
+}
+
+// The hardware and software CRC paths compute one polynomial: a store
+// written under either reopens under the other with every block verified,
+// and the bytes on disk do not depend on which path wrote them.
+TEST(StoreTest, CrcPathsReopenEachOthersStores) {
+  kernels::ForceIsaGuard guard;
+  constexpr uint64_t kRows = 100;
+  // (writer tier, reader tier); nullptr is the dispatched default.
+  const std::pair<const char*, const char*> legs[] = {{nullptr, "scalar"},
+                                                      {"scalar", nullptr}};
+  std::vector<std::map<std::string, std::string>> files;
+  for (const auto& [writer, reader] : legs) {
+    MemVfs vfs;
+    guard.Force(writer);
+    EXPECT_EQ(kernels::Crc32cHardwareActive(),
+              writer == nullptr && kernels::Crc32cHardwareAvailable());
+    {
+      StatusOr<std::unique_ptr<Store>> opened =
+          Store::Open(&vfs, "db", SmallBlocks());
+      ASSERT_TRUE(opened.ok()) << opened.status();
+      for (uint64_t i = 0; i < kRows; ++i) {
+        ASSERT_TRUE((*opened)->Append(MakeRecord(i)).ok());
+      }
+      ASSERT_TRUE((*opened)->Close().ok());
+    }
+    guard.Force(reader);
+    StatusOr<std::unique_ptr<Store>> reopened =
+        Store::Open(&vfs, "db", SmallBlocks());
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    const RecoveryReport& report = (*reopened)->recovery();
+    EXPECT_TRUE(report.current_valid);
+    EXPECT_EQ(report.blocks_verified, (kRows + 7) / 8);
+    EXPECT_TRUE(report.quarantined.empty());
+    EXPECT_EQ(report.rows_recovered, kRows);
+    uint64_t seen = 0;
+    ASSERT_TRUE((*reopened)
+                    ->Scan([&](uint64_t row, const StRecord& rec) {
+                      EXPECT_EQ(row, seen);
+                      ExpectBitIdentical(rec, MakeRecord(row));
+                      ++seen;
+                    })
+                    .ok());
+    EXPECT_EQ(seen, kRows);
+
+    std::map<std::string, std::string>& bytes = files.emplace_back();
+    StatusOr<std::vector<std::string>> names = vfs.ListDir("db");
+    ASSERT_TRUE(names.ok()) << names.status();
+    for (const std::string& name : *names) {
+      StatusOr<std::string> data = vfs.ReadFile("db/" + name);
+      ASSERT_TRUE(data.ok()) << data.status();
+      bytes[name] = *std::move(data);
+    }
+  }
+  EXPECT_EQ(files[0], files[1]);
 }
 
 TEST(StoreTest, ManifestGenerationsChainAcrossCommits) {
