@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/hash.h"
 #include "core/pipeline.h"
 #include "core/random.h"
 #include "core/trajectory.h"
@@ -127,11 +128,8 @@ double CpuSeconds() {
 
 // FNV-1a over the raw bit patterns: any single-bit divergence shows.
 uint64_t FleetChecksum(const std::vector<Trajectory>& fleet) {
-  uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
+  uint64_t h = kFnvTruncatedBasis;
+  auto mix = [&h](uint64_t v) { h = FnvMixWord(h, v); };
   for (const Trajectory& t : fleet) {
     mix(static_cast<uint64_t>(t.object_id()));
     for (const TrajectoryPoint& pt : t.points()) {

@@ -12,10 +12,8 @@
 // Primitives:
 //   pairwise     all-pairs squared distances (the EDR/LCSS/Frechet inner
 //                pattern) -- embarrassingly vectorizable, the headline win
-//   dtw_row      full banded DTW through kernels::DtwRowKernel; the
-//                loop-carried DP recurrence bounds both paths, so this
-//                one is a parity check (expect ~1x), not a speedup
-//   frechet_row  full discrete Frechet through kernels::FrechetRowKernel
+//   frechet_row  full discrete Frechet through the dispatched
+//                anti-diagonal wavefront (kernels::FrechetFullKernel)
 //   packed_range batched range queries over per-segment boxes on
 //                kernels::PackedRTree vs. per-query
 //                index::RTree::RangeQuery
@@ -33,9 +31,11 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/hash.h"
 #include "core/random.h"
 #include "core/trajectory.h"
 #include "index/rtree.h"
@@ -85,11 +85,8 @@ std::vector<Trajectory> MakeFleet() {
 
 // FNV-1a over raw bit patterns: any rounding difference flips the hash.
 struct Checksum {
-  uint64_t h = 1469598103934665603ull;
-  void Mix(uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  }
+  uint64_t h = kFnvTruncatedBasis;
+  void Mix(uint64_t v) { h = FnvMixWord(h, v); }
   void MixDouble(double d) {
     uint64_t bits = 0;
     static_assert(sizeof(bits) == sizeof(d));
@@ -133,33 +130,6 @@ PrimitiveResult BenchPairwise(const std::vector<Trajectory>& fleet,
     kernels::PairwiseSqDist(va.x(), va.y(), va.size(), vb.x(), vb.y(),
                             vb.size(), out.data());
     kernel_sum.MixDouble(out[p % out.size()]);
-  }
-  r.kernel_s = SecondsSince(t0);
-
-  r.speedup = r.scalar_s / r.kernel_s;
-  r.checksum = kernel_sum.h;
-  r.identical = scalar_sum.h == kernel_sum.h;
-  return r;
-}
-
-PrimitiveResult BenchDtw(const std::vector<Trajectory>& fleet, size_t pairs,
-                         int band) {
-  PrimitiveResult r{"dtw_row"};
-  Checksum scalar_sum, kernel_sum;
-
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t p = 0; p < pairs; ++p) {
-    const Trajectory& a = fleet[p % fleet.size()];
-    const Trajectory& b = fleet[(p * 13 + 3) % fleet.size()];
-    scalar_sum.MixDouble(kernels::scalar::DtwDistance(a, b, band));
-  }
-  r.scalar_s = SecondsSince(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  for (size_t p = 0; p < pairs; ++p) {
-    const Trajectory& a = fleet[p % fleet.size()];
-    const Trajectory& b = fleet[(p * 13 + 3) % fleet.size()];
-    kernel_sum.MixDouble(query::DtwDistance(a, b, band));
   }
   r.kernel_s = SecondsSince(t0);
 
@@ -315,7 +285,6 @@ int main(int argc, char** argv) {
   const size_t mul = quick ? 1 : 10;
   std::vector<PrimitiveResult> results;
   results.push_back(BenchPairwise(fleet, 400 * mul));
-  results.push_back(BenchDtw(fleet, 200 * mul, /*band=*/32));
   results.push_back(BenchFrechet(fleet, 100 * mul));
   results.push_back(BenchPackedRange(fleet, 2 * mul));
 
@@ -359,9 +328,11 @@ int main(int argc, char** argv) {
   }
 
   std::printf(
-      "BENCH_JSON: {\"bench\":\"kernels\",\"fleet_size\":%zu,"
+      "BENCH_JSON: {\"bench\":\"kernels\",\"host\":{\"cpu\":\"%s\","
+      "\"nproc\":%u},\"fleet_size\":%zu,"
       "\"points_per_trajectory\":%zu,\"isa\":\"%s\","
       "\"equivalence\":\"bit-identical\",\"primitives\":%s}\n",
+      bench::CpuModel().c_str(), std::thread::hardware_concurrency(),
       fleet.size(), static_cast<size_t>(kPointsEach), isa,
       JsonResults(results).c_str());
   return 0;

@@ -30,13 +30,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/hash.h"
 #include "core/random.h"
 #include "core/stid.h"
 #include "kernels/crc32c.h"
@@ -92,12 +92,6 @@ std::vector<StRecord> MakeRecords(size_t n) {
   return out;
 }
 
-uint64_t MixBits(uint64_t h, uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ull;  // FNV-1a
-  return h;
-}
-
 uint64_t DoubleBits(double d) {
   uint64_t u;
   std::memcpy(&u, &d, sizeof(u));
@@ -105,16 +99,14 @@ uint64_t DoubleBits(double d) {
 }
 
 uint64_t RecordChecksum(uint64_t h, const StRecord& rec) {
-  h = MixBits(h, rec.sensor);
-  h = MixBits(h, static_cast<uint64_t>(rec.t));
-  h = MixBits(h, DoubleBits(rec.loc.x));
-  h = MixBits(h, DoubleBits(rec.loc.y));
-  h = MixBits(h, DoubleBits(rec.value));
-  h = MixBits(h, DoubleBits(rec.stddev));
+  h = FnvMixWord(h, rec.sensor);
+  h = FnvMixWord(h, static_cast<uint64_t>(rec.t));
+  h = FnvMixWord(h, DoubleBits(rec.loc.x));
+  h = FnvMixWord(h, DoubleBits(rec.loc.y));
+  h = FnvMixWord(h, DoubleBits(rec.value));
+  h = FnvMixWord(h, DoubleBits(rec.stddev));
   return h;
 }
-
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
 
 void RemoveTree(const std::string& dir) {
   store::Vfs* vfs = store::DefaultVfs();
@@ -145,18 +137,6 @@ struct CachePoint {
   double hit_ratio = 0.0;
   uint64_t resident_bytes = 0;
 };
-
-// The host the numbers were recorded on ("model name" of /proc/cpuinfo).
-std::string CpuModel() {
-  std::ifstream f("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(f, line)) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const size_t start = line.find_first_not_of(" \t", line.find(':') + 1);
-    return start == std::string::npos ? "unknown" : line.substr(start);
-  }
-  return "unknown";
-}
 
 // Best-of-`reps` throughput of one CRC32C path over `buf`, in MB/s.
 double CrcMbPerS(uint32_t (*extend)(uint32_t, const char*, size_t),
@@ -225,7 +205,7 @@ int main(int argc, char** argv) {
   const int reps = quick ? 1 : 3;
   const std::vector<StRecord> records = MakeRecords(rows);
 
-  uint64_t mem_checksum = kFnvOffset;
+  uint64_t mem_checksum = kFnvOffsetBasis;
   for (const StRecord& rec : records) {
     mem_checksum = RecordChecksum(mem_checksum, rec);
   }
@@ -269,7 +249,7 @@ int main(int argc, char** argv) {
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, append_dir, options);
     if (!db.ok()) Die("scan open", db.status());
-    uint64_t checksum = kFnvOffset;
+    uint64_t checksum = kFnvOffsetBasis;
     uint64_t n = 0;
     const auto t0 = std::chrono::steady_clock::now();
     const Status st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
@@ -285,7 +265,7 @@ int main(int argc, char** argv) {
 
   double scan_mem_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
-    uint64_t checksum = kFnvOffset;
+    uint64_t checksum = kFnvOffsetBasis;
     const auto t0 = std::chrono::steady_clock::now();
     for (const StRecord& rec : records) {
       checksum = RecordChecksum(checksum, rec);
@@ -423,7 +403,7 @@ int main(int argc, char** argv) {
     CachePoint point;
     point.budget_bytes = budget;
     for (int pass = 0; pass < 2; ++pass) {
-      uint64_t checksum = kFnvOffset;
+      uint64_t checksum = kFnvOffsetBasis;
       uint64_t n = 0;
       const auto t0 = std::chrono::steady_clock::now();
       const Status st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
@@ -517,7 +497,7 @@ int main(int argc, char** argv) {
   }
   double compact_s = 0.0;
   store::CompactionReport compact_report;
-  uint64_t compact_checksum_pre = kFnvOffset;
+  uint64_t compact_checksum_pre = kFnvOffsetBasis;
   uint64_t compact_rows_pre = 0;
   {
     StatusOr<std::unique_ptr<store::Store>> db =
@@ -532,7 +512,7 @@ int main(int argc, char** argv) {
     st = (*db)->Compact(&compact_report);
     compact_s = SecondsSince(t0);
     if (!st.ok()) Die("compact", st);
-    uint64_t checksum = kFnvOffset;
+    uint64_t checksum = kFnvOffsetBasis;
     uint64_t n = 0;
     st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
       checksum = RecordChecksum(checksum, rec);
@@ -565,7 +545,7 @@ int main(int argc, char** argv) {
     StatusOr<std::unique_ptr<store::Store>> db =
         store::Store::Open(nullptr, compact_dir, popts);
     if (!db.ok()) Die("compact reopen", db.status());
-    uint64_t checksum = kFnvOffset;
+    uint64_t checksum = kFnvOffsetBasis;
     uint64_t n = 0;
     const Status st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
       checksum = RecordChecksum(checksum, rec);
@@ -595,7 +575,7 @@ int main(int argc, char** argv) {
   uint64_t fleet_rss_delta = 0;
   uint64_t fleet_data_bytes = fleet_rows * kRowBytes;
   if (fleet_rows > 0) {
-    uint64_t fleet_checksum = kFnvOffset;
+    uint64_t fleet_checksum = kFnvOffsetBasis;
     {
       RecordStream stream;
       for (size_t i = 0; i < fleet_rows; ++i) {
@@ -626,7 +606,7 @@ int main(int argc, char** argv) {
       StatusOr<std::unique_ptr<store::Store>> db =
           store::Store::Open(nullptr, fleet_dir, fopts);
       if (!db.ok()) Die("fleet reopen", db.status());
-      uint64_t checksum = kFnvOffset;
+      uint64_t checksum = kFnvOffsetBasis;
       uint64_t n = 0;
       const auto t0 = std::chrono::steady_clock::now();
       const Status st = (*db)->Scan([&](uint64_t, const StRecord& rec) {
@@ -810,7 +790,7 @@ int main(int argc, char** argv) {
   // speedup are same-machine quotients, so bench_compare's --ratios-only
   // mode may hold them across hosts.
   const std::string host_json =
-      "{\"cpu\":\"" + CpuModel() + "\",\"nproc\":" +
+      "{\"cpu\":\"" + bench::CpuModel() + "\",\"nproc\":" +
       std::to_string(std::thread::hardware_concurrency()) +
       ",\"kernel_isa\":\"" +
       kernels::IsaName(kernels::KernelDispatch::Active()) + "\"}";

@@ -5,6 +5,7 @@
 // markdown table so EXPERIMENTS.md can quote the output verbatim.
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -59,6 +60,18 @@ inline std::string F1(double v) { return Fmt("%.1f", v); }
 inline std::string F2(double v) { return Fmt("%.2f", v); }
 inline std::string F3(double v) { return Fmt("%.3f", v); }
 inline std::string FInt(double v) { return Fmt("%.0f", v); }
+
+// The host the numbers were recorded on ("model name" of /proc/cpuinfo).
+inline std::string CpuModel() {
+  std::ifstream f("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(f, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t start = line.find_first_not_of(" \t", line.find(':') + 1);
+    return start == std::string::npos ? "unknown" : line.substr(start);
+  }
+  return "unknown";
+}
 
 inline void Banner(const char* experiment, const char* title,
                    const char* claim) {

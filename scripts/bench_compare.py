@@ -54,15 +54,13 @@ SKIP_KEYS = {"recorded_utc"}
 
 # Absolute speedup floors per kernel primitive (dispatched kernel vs the
 # scalar reference, same machine, same run). pairwise and packed_range are
-# the vectorization/batching headline wins. dtw_row is bounded by a
-# loop-carried DP recurrence, so its floor is parity -- the kernel lane may
-# never be SLOWER than the scalar one it replaced. frechet_row runs the
-# anti-diagonal wavefront (frechet_full), which breaks that recurrence;
-# its floor catches a silent fallback to the row-serial form (~1.0x).
+# the vectorization/batching headline wins. frechet_row runs the
+# anti-diagonal wavefront (frechet_full), which breaks the row form's
+# loop-carried DP recurrence; its floor catches a silent fallback to the
+# row-serial form (~1.0x).
 SPEEDUP_FLOORS = {
     "pairwise": 3.5,
     "packed_range": 2.5,
-    "dtw_row": 1.0,
     "frechet_row": 1.3,
 }
 

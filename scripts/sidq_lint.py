@@ -105,6 +105,11 @@ Rules
                          reintroduces O(segment) memory. Small bounded
                          control files (manifests, CURRENT) annotate with
                          `// sidq: allow-raw-read(<reason>)`.
+  R17 fnv-constant       the FNV prime literal outside src/core/hash.h.
+                         FNV-1a has one home (Fnv1a / FnvMixWord and the
+                         named seeds there), so checksum seeds cannot
+                         drift apart between private copies. No
+                         suppression.
 
 Suppression syntax
 ------------------
@@ -176,6 +181,7 @@ RULES = {
     "R14": "hotloop-heap-alloc",
     "R15": "raw-io",
     "R16": "raw-read",
+    "R17": "fnv-constant",
     "S1": "legacy-suppression",
     "S2": "unknown-suppression",
     "S3": "missing-reason",
@@ -273,6 +279,10 @@ RAW_READ_SCOPED = re.compile(r"(^|/)src/store/")
 RAW_READ_ALLOWED_FILES = {
     "src/store/vfs.cc", "src/store/vfs.h", "src/store/block_reader.cc",
 }
+
+# R17: the FNV prime (decimal or hex) anywhere but its one home.
+FNV_PRIME_RE = re.compile(r"\b(?:1099511628211|0[xX]0*100000001[bB]3)(?!\d)")
+FNV_ALLOWED_FILE = "src/core/hash.h"
 
 # R11 scope: layers whose iteration order can reach snapshots, exports,
 # serialized traces or query/analytics results.
@@ -531,6 +541,12 @@ def run_line_rules(ctx):
             ctx.add(lineno, "R2",
                     "rand()/srand() banned; use sidq::Rng "
                     "(src/core/random.h)")
+
+        # R17: the FNV prime outside core/hash.h -- no annotation escape.
+        if rel != FNV_ALLOWED_FILE and FNV_PRIME_RE.search(code):
+            ctx.add(lineno, "R17",
+                    "FNV prime literal outside src/core/hash.h; use "
+                    "sidq::Fnv1a / sidq::FnvMixWord (src/core/hash.h)")
 
         # R3: using namespace in a header.
         if ctx.is_header and USING_NAMESPACE_RE.search(code):

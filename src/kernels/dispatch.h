@@ -8,9 +8,9 @@ namespace kernels {
 
 // Runtime ISA dispatch for the kernel layer.
 //
-// Every distance/DP/leaf-scan primitive is compiled four times from one
-// shared implementation (kernel_impl.inc), each translation unit targeting
-// one ISA tier:
+// Every distance/leaf-scan primitive and the Frechet wavefront are
+// compiled four times from one shared implementation (kernel_impl.inc),
+// each translation unit targeting one ISA tier:
 //
 //   scalar   auto-vectorization disabled -- the bit-exactness oracle, the
 //            same compilation mode as the AoS reference in scalar_ref.cc
@@ -60,15 +60,9 @@ struct KernelOps {
                            double* out);
   double (*point_to_polyline_dist)(double px, double py, const double* xs,
                                    const double* ys, size_t n);
-  void (*dtw_row)(double qx, double qy, const double* bx, const double* by,
-                  size_t m, size_t lo, size_t hi, const double* prev,
-                  double* cur, double* dist_scratch);
-  void (*frechet_row)(double qx, double qy, const double* bx,
-                      const double* by, size_t m, const double* prev,
-                      double* cur, double* dist_scratch);
   // Full n x m discrete-Frechet DP via an anti-diagonal wavefront (cells
   // of one anti-diagonal are data-parallel); `scratch` holds 3*m doubles.
-  // Bit-identical to iterating frechet_row over the rows.
+  // Bit-identical to iterating FrechetRowKernel (distance.h) over the rows.
   double (*frechet_full)(const double* ax, const double* ay, size_t n,
                          const double* bx, const double* by, size_t m,
                          double* scratch);

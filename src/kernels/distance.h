@@ -9,14 +9,19 @@ namespace kernels {
 
 // Batched distance primitives for the similarity / outlier / map-matching
 // hot paths. Every function is a flat-array loop over SoA columns (see
-// soa.h). As of kernel layer v2 these are thin shims over the runtime ISA
-// dispatch table (see dispatch.h): each primitive is compiled per ISA tier
-// from one shared implementation with FP contraction OFF
+// soa.h). Most are thin shims over the runtime ISA dispatch table (see
+// dispatch.h): each such primitive is compiled per ISA tier from one
+// shared implementation with FP contraction OFF
 // (src/kernels/CMakeLists.txt), so every operation is a correctly-rounded
 // IEEE op executed in the same order at every vector width. Results are
 // therefore BIT-IDENTICAL to the scalar path, not merely close -- the
 // equivalence property tests, kernels_dispatch_test, and the bench_kernels
 // checksum gate all assert exact equality.
+//
+// The two DP row kernels (DtwRowKernel, FrechetRowKernel) are plain,
+// non-dispatched functions: their carried cur[j-1] recurrence serializes
+// the row at any vector width, so per-tier builds measured no faster than
+// the scalar oracle.
 //
 // Operand-order convention: a distance between a "query" sample q and a
 // column sample j is computed as dq = q - column[j] (matching
@@ -54,24 +59,18 @@ double PointToPolylineDist(double px, double py, const double* xs,
 //     cur[j] = d(q, b[j-1]) + min(prev[j], prev[j-1], cur[j-1])
 // with cur entries outside the band set to +infinity and the sum skipped
 // when all three predecessors are +infinity. `prev`/`cur` hold m+1 DP
-// cells. `dist_scratch` (hi-lo+1 doubles, may be nullptr) enables the
-// two-pass form on wide bands: a vectorized squared-distance sweep into
-// the scratch, then the short sequential sqrt/min/add recurrence. Narrow
-// bands (or a null scratch) use the fused single-pass form. Both forms
-// produce the same outputs to the bit: the squared distance rounds to a
-// double either way, so sqrt of the staged value equals the fused sqrt.
+// cells.
 void DtwRowKernel(double qx, double qy, const double* bx, const double* by,
                   size_t m, size_t lo, size_t hi, const double* prev,
-                  double* cur, double* dist_scratch);
+                  double* cur);
 
 // One row i >= 1 of the discrete-Frechet dynamic program:
 //     cur[j] = max(min(prev[j], prev[j-1], cur[j-1]), d(q, b[j]))
 // with the j == 0 column taking reach = prev[0]. `prev`/`cur` hold m
-// cells; `dist_scratch` holds m doubles (reserved scratch -- the current
-// best-measured form is fully fused and does not use it).
+// cells.
 void FrechetRowKernel(double qx, double qy, const double* bx,
                       const double* by, size_t m, const double* prev,
-                      double* cur, double* dist_scratch);
+                      double* cur);
 
 // The full n x m discrete-Frechet DP (n, m >= 1): returns D[n-1][m-1].
 // Processes the table in anti-diagonal wavefronts -- cells of one

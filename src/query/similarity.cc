@@ -12,9 +12,9 @@ namespace sidq {
 namespace query {
 
 // The O(n*m) measures below run on columnar views (kernels::TrajectoryView)
-// and per-row kernels (kernels/distance.h): the distance pass of each DP row
-// vectorizes over contiguous x/y columns while the carried recurrence stays
-// sequential. The kernels execute the same operations in the same order as
+// and per-row kernels (kernels/distance.h): EDR/LCSS rows take their
+// distances from a vectorized DistRow pass, while the DTW/Frechet rows fuse
+// distance and the carried recurrence into one sequential pass. The kernels execute the same operations in the same order as
 // the original AoS loops (kept verbatim in kernels/scalar_ref.cc), so every
 // result is bit-identical to the pre-kernel implementation -- asserted by
 // tests/kernels_test.cc and the bench_kernels checksum gate. DP rows and
@@ -35,13 +35,12 @@ StatusOr<double> DtwDistanceBounded(const Trajectory& a, const Trajectory& b,
   if (n == 0 || m == 0) return n == m ? 0.0 : kInf;
   const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
   const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
-  // Two-row DP; rows over a, columns over b. Rows and the per-row distance
-  // scratch come from the arena (the kernel fills `cur` completely, so
-  // only `prev` needs initializing).
+  // Two-row DP; rows over a, columns over b. Rows come from the arena
+  // (the kernel fills `cur` completely, so only `prev` needs
+  // initializing).
   ArenaScope scope(ScratchArena());
   double* prev = scope.AllocFilled<double>(m + 1, kInf);
   double* cur = scope.AllocArray<double>(m + 1);
-  double* dist = scope.AllocArray<double>(m);
   prev[0] = 0.0;
   for (size_t i = 1; i <= n; ++i) {
     // The DP row is the unit of work a deadline can interrupt.
@@ -55,7 +54,7 @@ StatusOr<double> DtwDistanceBounded(const Trajectory& a, const Trajectory& b,
           std::min(static_cast<double>(m), center + band));
     }
     kernels::DtwRowKernel(va.x()[i - 1], va.y()[i - 1], vb.x(), vb.y(), m,
-                          lo, hi, prev, cur, dist);
+                          lo, hi, prev, cur);
     std::swap(prev, cur);
   }
   return prev[m];
@@ -96,7 +95,7 @@ StatusOr<double> DiscreteFrechetDistanceBounded(const Trajectory& a,
   for (size_t i = 1; i < n; ++i) {
     SIDQ_RETURN_IF_ERROR(exec->Check());
     kernels::FrechetRowKernel(va.x()[i], va.y()[i], vb.x(), vb.y(), m, prev,
-                              cur, dist);
+                              cur);
     std::swap(prev, cur);
   }
   return prev[m - 1];

@@ -91,14 +91,9 @@ Status BlockReader::VerifyAt(RandomAccessFile* file, std::string* scratch,
 Status BlockReader::Read(const BlockEntry& entry, MissingPolicy policy,
                          BlockDefect* defect, PinnedBlock* out) {
   *defect = BlockDefect::kNone;
-  *out = PinnedBlock();
-  if (cache_ != nullptr) {
-    PinnedBlock hit = cache_->Lookup(entry.segment, entry.offset);
-    if (hit) {
-      *out = std::move(hit);
-      return Status::OK();
-    }
-  }
+  *out = PinnedBlock();  // unpin a previous block before probing
+  *out = cache_->Lookup(entry.segment, entry.offset);
+  if (*out) return Status::OK();
   StatusOr<RandomAccessFile*> handle = Handle(entry.segment);
   if (!handle.ok()) {
     if (policy == MissingPolicy::kDefect) {
@@ -118,12 +113,7 @@ Status BlockReader::Read(const BlockEntry& entry, MissingPolicy policy,
     return st;
   }
   if (*defect != BlockDefect::kNone) return Status::OK();
-  if (cache_ != nullptr) {
-    *out = cache_->Insert(entry.segment, entry.offset, std::move(block));
-  } else {
-    *out = PinnedBlock(
-        nullptr, 0, std::make_shared<const ColumnarBlock>(std::move(block)));
-  }
+  *out = cache_->Insert(entry.segment, entry.offset, std::move(block));
   return Status::OK();
 }
 
@@ -178,12 +168,12 @@ StatusOr<uint64_t> BlockReader::SegmentSize(uint32_t segment) {
 
 void BlockReader::Invalidate(uint32_t segment) {
   handles_.erase(segment);
-  if (cache_ != nullptr) cache_->EraseSegment(segment);
+  cache_->EraseSegment(segment);
 }
 
 void BlockReader::InvalidateAll() {
   handles_.clear();
-  if (cache_ != nullptr) cache_->Clear();
+  cache_->Clear();
 }
 
 }  // namespace store

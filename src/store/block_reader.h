@@ -47,7 +47,7 @@ class BlockReader {
               // (recovery path: quarantine, never abort)
   };
 
-  // `vfs`/`cache` are borrowed; `cache` may be null (every read misses).
+  // `vfs`/`cache` are borrowed; `cache` must not be null.
   BlockReader(const Vfs* vfs, std::string dir, BlockCache* cache);
 
   // Verified, cached read of a manifested block. On a cache hit the
@@ -69,11 +69,12 @@ class BlockReader {
                                        BlockDefect* defect,
                                        ColumnarBlock* out);
 
-  // Streamed ScanSegment: walks self-describing blocks from
-  // `start_offset`, calling `fn` for each valid block, stopping at the
-  // first defect. Matches SegmentScan semantics (valid_bytes = offset of
-  // the first unexplained byte; defect = what stopped the walk) without
-  // materializing the segment.
+  // Walks self-describing blocks from `start_offset` without a manifest
+  // (the tail-recovery primitive), calling `fn` for each valid block and
+  // stopping at the first defect: valid_bytes is the offset of the first
+  // unexplained byte (recovery truncates the file there) and defect is
+  // what stopped the walk (kNone for a clean run to EOF). Blocks are
+  // decoded one at a time, never the whole segment.
   struct TailScanResult {
     uint64_t valid_bytes = 0;
     BlockDefect defect = BlockDefect::kNone;
@@ -94,8 +95,6 @@ class BlockReader {
   // truncate/remove/rewrite of the segment file.
   void Invalidate(uint32_t segment);
   void InvalidateAll();
-
-  [[nodiscard]] BlockCache* cache() const { return cache_; }
 
  private:
   // Opens (or returns the cached) positional handle for a segment.

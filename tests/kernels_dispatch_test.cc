@@ -14,9 +14,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hash.h"
 #include "core/random.h"
 #include "force_isa_guard.h"
 #include "kernels/dispatch.h"
+#include "kernels/distance.h"
 
 namespace sidq {
 namespace kernels {
@@ -24,16 +26,6 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-uint64_t Fnv1a(const void* data, size_t bytes,
-               uint64_t h = 1469598103934665603ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::vector<Isa> CompiledTiers() {
   std::vector<Isa> out;
@@ -150,74 +142,10 @@ TEST(KernelDispatchTest, RowAndColumnPrimitivesMatchScalarOnEveryTier) {
   }
 }
 
-TEST(KernelDispatchTest, DtwRowMatchesScalarAndFusedEqualsTwoPass) {
-  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
-  Rng rng_store(13);
-  Rng* rng = &rng_store;
-  // Widths straddle kDtwTwoPassMinWidth (16) so both the fused and the
-  // two-pass body run; scratch == nullptr forces the fused form, which
-  // must be bit-identical to the two-pass form on every tier.
-  for (size_t m : {size_t{1}, size_t{5}, size_t{16}, size_t{48}}) {
-    const auto bx = Column(rng, m, true);
-    const auto by = Column(rng, m, true);
-    std::vector<double> prev(m + 1);
-    for (double& p : prev) {
-      p = rng->Bernoulli(0.3) ? kInf : rng->Uniform(0.0, 500.0);
-    }
-    const double qx = rng->Uniform(-100.0, 100.0);
-    const double qy = rng->Uniform(-100.0, 100.0);
-    const size_t lo = static_cast<size_t>(
-        rng->UniformInt(1, static_cast<int64_t>(m)));
-    const size_t hi = static_cast<size_t>(rng->UniformInt(
-        static_cast<int64_t>(lo), static_cast<int64_t>(m)));
-    std::vector<double> want(m + 1, -7.0), scratch(m, -7.0);
-    ref.dtw_row(qx, qy, bx.data(), by.data(), m, lo, hi, prev.data(),
-                want.data(), scratch.data());
-    for (Isa isa : CompiledTiers()) {
-      const KernelOps& ops = *KernelDispatch::Table(isa);
-      std::vector<double> got(m + 1, -7.0), s2(m, -7.0);
-      ops.dtw_row(qx, qy, bx.data(), by.data(), m, lo, hi, prev.data(),
-                  got.data(), s2.data());
-      ExpectBytesEqual(want, got, isa, "dtw_row(two-pass)");
-      std::vector<double> fused(m + 1, -7.0);
-      ops.dtw_row(qx, qy, bx.data(), by.data(), m, lo, hi, prev.data(),
-                  fused.data(), nullptr);
-      ExpectBytesEqual(want, fused, isa, "dtw_row(fused)");
-    }
-  }
-}
-
-TEST(KernelDispatchTest, FrechetRowMatchesScalarOnEveryTier) {
-  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
-  Rng rng_store(14);
-  Rng* rng = &rng_store;
-  for (size_t m : {size_t{1}, size_t{2}, size_t{17}, size_t{64}}) {
-    const auto bx = Column(rng, m, true);
-    const auto by = Column(rng, m, true);
-    std::vector<double> prev(m);
-    for (double& p : prev) {
-      p = rng->Bernoulli(0.2) ? kInf : rng->Uniform(0.0, 800.0);
-    }
-    const double qx = rng->Uniform(-100.0, 100.0);
-    const double qy = rng->Uniform(-100.0, 100.0);
-    std::vector<double> want(m, -7.0), scratch(m, -7.0);
-    ref.frechet_row(qx, qy, bx.data(), by.data(), m, prev.data(), want.data(),
-                    scratch.data());
-    for (Isa isa : CompiledTiers()) {
-      std::vector<double> got(m, -7.0), s2(m, -7.0);
-      KernelDispatch::Table(isa)->frechet_row(qx, qy, bx.data(), by.data(), m,
-                                              prev.data(), got.data(),
-                                              s2.data());
-      ExpectBytesEqual(want, got, isa, "frechet_row");
-    }
-  }
-}
-
 TEST(KernelDispatchTest, FrechetFullMatchesRowIterationOnEveryTier) {
-  // Two properties at once: the wavefront form equals the row-kernel
-  // composition (row 0 = prefix max of dist_row, then frechet_row per row)
-  // on the scalar tier, and every tier's wavefront equals the scalar
-  // wavefront -- so the anti-diagonal schedule changes no bits anywhere.
+  // Every tier's wavefront equals the row-kernel composition (row 0 =
+  // prefix max of the scalar tier's dist_row, then FrechetRowKernel per
+  // row) -- so the anti-diagonal schedule changes no bits anywhere.
   const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
   Rng rng_store(16);
   Rng* rng = &rng_store;
@@ -227,7 +155,7 @@ TEST(KernelDispatchTest, FrechetFullMatchesRowIterationOnEveryTier) {
       const auto ay = Column(rng, n, true);
       const auto bx = Column(rng, m, true);
       const auto by = Column(rng, m, true);
-      // Row-kernel composition on the scalar tier.
+      // Row-kernel composition.
       std::vector<double> prev(m), cur(m), dist(m);
       ref.dist_row(ax[0], ay[0], bx.data(), by.data(), 0, m, dist.data());
       prev[0] = dist[0];
@@ -235,8 +163,8 @@ TEST(KernelDispatchTest, FrechetFullMatchesRowIterationOnEveryTier) {
         prev[j] = std::max(prev[j - 1], dist[j]);
       }
       for (size_t i = 1; i < n; ++i) {
-        ref.frechet_row(ax[i], ay[i], bx.data(), by.data(), m, prev.data(),
-                        cur.data(), dist.data());
+        FrechetRowKernel(ax[i], ay[i], bx.data(), by.data(), m, prev.data(),
+                         cur.data());
         std::swap(prev, cur);
       }
       const double want = prev[m - 1];
@@ -300,7 +228,7 @@ TEST(KernelDispatchTest, WorkloadChecksumIdenticalAcrossTiers) {
   const auto run = [](const KernelOps& ops) {
     Rng rng_store(99);
     Rng* rng = &rng_store;
-    uint64_t h = 1469598103934665603ull;
+    uint64_t h = kFnvTruncatedBasis;
     for (int trial = 0; trial < 20; ++trial) {
       const size_t n = static_cast<size_t>(rng->UniformInt(1, 96));
       const auto xs = Column(rng, n, trial % 2 == 0);

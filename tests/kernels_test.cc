@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/exec_context.h"
 #include "core/random.h"
 #include "geometry/geo.h"
 #include "index/rtree.h"
@@ -55,16 +56,26 @@ std::vector<size_t> InterestingSizes() { return {0, 1, 2, 3, 7, 33, 64}; }
 
 // ------------------------------------------------------- measure identity
 
+// The Bounded forms with a live ExecContext run the deadline-checked row
+// kernels; without one, Frechet takes the anti-diagonal wavefront. Both
+// paths must match the oracle.
+
 TEST(KernelEquivalenceTest, DtwMatchesScalarBitForBit) {
   Rng rng(7);
+  const ExecContext exec;
   for (size_t n : InterestingSizes()) {
     for (size_t m : InterestingSizes()) {
       const Trajectory a = RandomTrajectory(&rng, n, 1);
       const Trajectory b = RandomTrajectory(&rng, m, 2);
       for (int band : {-1, 0, 1, 4, 32}) {
-        const double got = query::DtwDistance(a, b, band);
         const double want = scalar::DtwDistance(a, b, band);
-        EXPECT_EQ(got, want) << "n=" << n << " m=" << m << " band=" << band;
+        EXPECT_EQ(query::DtwDistance(a, b, band), want)
+            << "n=" << n << " m=" << m << " band=" << band;
+        const StatusOr<double> bounded =
+            query::DtwDistanceBounded(a, b, band, &exec);
+        ASSERT_TRUE(bounded.ok()) << bounded.status();
+        EXPECT_EQ(*bounded, want)
+            << "bounded n=" << n << " m=" << m << " band=" << band;
       }
     }
   }
@@ -72,13 +83,18 @@ TEST(KernelEquivalenceTest, DtwMatchesScalarBitForBit) {
 
 TEST(KernelEquivalenceTest, FrechetMatchesScalarBitForBit) {
   Rng rng(11);
+  const ExecContext exec;
   for (size_t n : InterestingSizes()) {
     for (size_t m : InterestingSizes()) {
       const Trajectory a = RandomTrajectory(&rng, n, 1);
       const Trajectory b = RandomTrajectory(&rng, m, 2);
-      EXPECT_EQ(query::DiscreteFrechetDistance(a, b),
-                scalar::FrechetDistance(a, b))
+      const double want = scalar::FrechetDistance(a, b);
+      EXPECT_EQ(query::DiscreteFrechetDistance(a, b), want)
           << "n=" << n << " m=" << m;
+      const StatusOr<double> bounded =
+          query::DiscreteFrechetDistanceBounded(a, b, &exec);
+      ASSERT_TRUE(bounded.ok()) << bounded.status();
+      EXPECT_EQ(*bounded, want) << "bounded n=" << n << " m=" << m;
     }
   }
 }

@@ -1,11 +1,11 @@
 // BlockCache property tests and the fixed-budget scan differential.
 //
 // 1. Model-based randomized test: a reference model mirrors the cache's
-//    documented semantics (sharded LRU, pinning, byte budget) operation
-//    for operation; after every op the real cache must match the model
+//    documented semantics (one LRU, pinning, byte budget) operation for
+//    operation; after every op the real cache must match the model
 //    bit-exactly -- counters included -- and the core invariants must
-//    hold: unpinned resident bytes per shard never exceed the shard
-//    budget, and a pinned block is never evicted.
+//    hold: unpinned resident bytes never exceed the budget, and a pinned
+//    block is never evicted.
 //
 // 2. Differential: the same pocked store (one quarantined interior
 //    block) scanned under budgets {one block, 1 MB, 64 MB, unbounded}
@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/hash.h"
 #include "core/stid.h"
 #include "obs/metrics.h"
 #include "store/block_cache.h"
@@ -37,16 +38,7 @@ namespace sidq {
 namespace store {
 namespace {
 
-constexpr uint64_t kFnvOffset = 14695981039346656037ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
+uint64_t FnvMix(uint64_t h, uint64_t v) { return Fnv1a(&v, sizeof(v), h); }
 
 uint64_t Bits(double v) {
   uint64_t b = 0;
@@ -95,10 +87,8 @@ ColumnarBlock MakeBlock(size_t rows, uint64_t salt) {
 
 // --- reference model -----------------------------------------------------
 //
-// Mirrors BlockCache semantics exactly: per-shard table + LRU list of
-// unpinned keys, byte accounting, and the four counters. Shard placement
-// is delegated to the real cache's own (pure) ShardOf so the two stay in
-// lockstep by construction.
+// Mirrors BlockCache semantics exactly: one table + LRU list of unpinned
+// keys, byte accounting, and the four counters.
 
 struct ModelEntry {
   size_t charge = 0;
@@ -107,147 +97,111 @@ struct ModelEntry {
   std::list<uint64_t>::iterator lru_it;
 };
 
-struct ModelShard {
-  std::map<uint64_t, ModelEntry> table;
-  std::list<uint64_t> lru;  // front = next victim; unpinned keys only
-  size_t resident = 0;
-  size_t unpinned = 0;
-  uint64_t hits = 0, misses = 0, inserts = 0, evictions = 0;
-};
-
 class CacheModel {
  public:
-  CacheModel(const BlockCache& cache, size_t shard_capacity)
-      : cache_(cache), shard_capacity_(shard_capacity),
-        shards_(cache.num_shards()) {}
+  explicit CacheModel(size_t capacity) : capacity_(capacity) {}
 
   void Lookup(uint64_t key, bool hit_expected_to_pin) {
-    ModelShard& sh = shards_[cache_.ShardOf(key)];
-    auto it = sh.table.find(key);
-    if (it == sh.table.end()) {
-      ++sh.misses;
+    auto it = table_.find(key);
+    if (it == table_.end()) {
+      ++stats_.misses;
       return;
     }
-    ++sh.hits;
-    PinLocked(sh, it->second);
+    ++stats_.hits;
+    Pin(it->second);
     if (!hit_expected_to_pin) Unpin(key);
   }
 
-  bool WasHit(uint64_t key) const {
-    const ModelShard& sh = shards_[cache_.ShardOf(key)];
-    return sh.table.count(key) != 0;
-  }
+  // A pinned key is always resident.
+  bool Resident(uint64_t key) const { return table_.count(key) != 0; }
 
   void Insert(uint64_t key, size_t charge, bool keep_pin) {
-    ModelShard& sh = shards_[cache_.ShardOf(key)];
-    auto it = sh.table.find(key);
-    if (it != sh.table.end()) {
-      PinLocked(sh, it->second);
+    auto it = table_.find(key);
+    if (it != table_.end()) {
+      Pin(it->second);
     } else {
       ModelEntry e;
       e.charge = charge;
       e.pins = 1;
-      sh.resident += charge;
-      ++sh.inserts;
-      sh.table.emplace(key, e);
-      Evict(sh);
+      stats_.resident_bytes += charge;
+      ++stats_.inserts;
+      table_.emplace(key, e);
+      Evict();
     }
     if (!keep_pin) Unpin(key);
   }
 
   void Unpin(uint64_t key) {
-    ModelShard& sh = shards_[cache_.ShardOf(key)];
-    auto it = sh.table.find(key);
-    if (it == sh.table.end()) return;  // invalidated while pinned
+    auto it = table_.find(key);
+    if (it == table_.end()) return;  // invalidated while pinned
     ModelEntry& e = it->second;
     if (e.pins == 0) return;
     if (--e.pins == 0) {
-      e.lru_it = sh.lru.insert(sh.lru.end(), key);
+      e.lru_it = lru_.insert(lru_.end(), key);
       e.in_lru = true;
-      sh.unpinned += e.charge;
-      Evict(sh);
+      stats_.unpinned_bytes += e.charge;
+      Evict();
     }
   }
 
   void EraseSegment(uint32_t segment) {
-    for (ModelShard& sh : shards_) {
-      for (auto it = sh.table.begin(); it != sh.table.end();) {
-        auto next = std::next(it);
-        if (BlockCache::SegmentOf(it->first) == segment) {
-          EraseEntry(sh, it, /*eviction=*/false);
-        }
-        it = next;
+    for (auto it = table_.begin(); it != table_.end();) {
+      auto next = std::next(it);
+      if (BlockCache::SegmentOf(it->first) == segment) {
+        EraseEntry(it, /*eviction=*/false);
       }
+      it = next;
     }
   }
 
   void Clear() {
-    for (ModelShard& sh : shards_) {
-      for (auto it = sh.table.begin(); it != sh.table.end();) {
-        auto next = std::next(it);
-        EraseEntry(sh, it, /*eviction=*/false);
-        it = next;
-      }
-    }
+    while (!table_.empty()) EraseEntry(table_.begin(), /*eviction=*/false);
   }
 
-  BlockCache::Stats Aggregate() const {
-    BlockCache::Stats out;
-    for (const ModelShard& sh : shards_) {
-      out.hits += sh.hits;
-      out.misses += sh.misses;
-      out.inserts += sh.inserts;
-      out.evictions += sh.evictions;
-      out.resident_bytes += sh.resident;
-      out.unpinned_bytes += sh.unpinned;
-      out.resident_blocks += sh.table.size();
-      for (const auto& [key, e] : sh.table) {
-        (void)key;
-        if (e.pins > 0) ++out.pinned_blocks;
-      }
+  BlockCache::Stats Stats() const {
+    BlockCache::Stats out = stats_;
+    out.resident_blocks = table_.size();
+    for (const auto& [key, e] : table_) {
+      (void)key;
+      if (e.pins > 0) ++out.pinned_blocks;
     }
     return out;
   }
 
-  // Invariant: a pinned key is always resident.
-  bool Resident(uint64_t key) const {
-    const ModelShard& sh = shards_[cache_.ShardOf(key)];
-    return sh.table.count(key) != 0;
-  }
-
  private:
-  void PinLocked(ModelShard& sh, ModelEntry& e) {
+  void Pin(ModelEntry& e) {
     if (e.in_lru) {
-      sh.lru.erase(e.lru_it);
+      lru_.erase(e.lru_it);
       e.in_lru = false;
-      sh.unpinned -= e.charge;
+      stats_.unpinned_bytes -= e.charge;
     }
     ++e.pins;
   }
 
-  void Evict(ModelShard& sh) {
-    if (shard_capacity_ == 0) return;
-    while (sh.unpinned > shard_capacity_ && !sh.lru.empty()) {
-      auto it = sh.table.find(sh.lru.front());
-      EraseEntry(sh, it, /*eviction=*/true);
+  void Evict() {
+    if (capacity_ == 0) return;
+    while (stats_.unpinned_bytes > capacity_ && !lru_.empty()) {
+      EraseEntry(table_.find(lru_.front()), /*eviction=*/true);
     }
   }
 
-  void EraseEntry(ModelShard& sh, std::map<uint64_t, ModelEntry>::iterator it,
+  void EraseEntry(std::map<uint64_t, ModelEntry>::iterator it,
                   bool eviction) {
     ModelEntry& e = it->second;
     if (e.in_lru) {
-      sh.lru.erase(e.lru_it);
-      sh.unpinned -= e.charge;
+      lru_.erase(e.lru_it);
+      stats_.unpinned_bytes -= e.charge;
     }
-    sh.resident -= e.charge;
-    if (eviction) ++sh.evictions;
-    sh.table.erase(it);
+    stats_.resident_bytes -= e.charge;
+    if (eviction) ++stats_.evictions;
+    table_.erase(it);
   }
 
-  const BlockCache& cache_;
-  size_t shard_capacity_;
-  std::vector<ModelShard> shards_;
+  size_t capacity_;
+  std::map<uint64_t, ModelEntry> table_;
+  std::list<uint64_t> lru_;  // front = next victim; unpinned keys only
+  // Counters and byte totals; the block counts are derived in Stats().
+  BlockCache::Stats stats_;
 };
 
 void ExpectStatsEqual(const BlockCache::Stats& got,
@@ -262,11 +216,10 @@ void ExpectStatsEqual(const BlockCache::Stats& got,
   EXPECT_EQ(got.pinned_blocks, want.pinned_blocks) << where;
 }
 
-void RunModelWorkout(size_t capacity_bytes, size_t shards, uint64_t seed,
-                     int ops) {
+void RunModelWorkout(size_t capacity_bytes, uint64_t seed, int ops) {
   obs::MetricsRegistry metrics;
-  BlockCache cache(capacity_bytes, shards, &metrics);
-  CacheModel model(cache, cache.shard_capacity_bytes());
+  BlockCache cache(capacity_bytes, &metrics);
+  CacheModel model(capacity_bytes);
 
   // Held pins: (key, rows, handle). Blocks of 1..8 rows over a small key
   // space force constant collision/eviction traffic.
@@ -283,7 +236,7 @@ void RunModelWorkout(size_t capacity_bytes, size_t shards, uint64_t seed,
       case 0:
       case 1:
       case 2: {  // Lookup
-        const bool expect_hit = model.WasHit(key);
+        const bool expect_hit = model.Resident(key);
         PinnedBlock pin = cache.Lookup(segment, offset);
         EXPECT_EQ(static_cast<bool>(pin), expect_hit) << "op " << op;
         model.Lookup(key, /*hit_expected_to_pin=*/expect_hit && keep);
@@ -328,14 +281,11 @@ void RunModelWorkout(size_t capacity_bytes, size_t shards, uint64_t seed,
     }
 
     const BlockCache::Stats got = cache.GetStats();
-    ExpectStatsEqual(got, model.Aggregate(),
+    ExpectStatsEqual(got, model.Stats(),
                      ("op " + std::to_string(op)).c_str());
-    // Budget invariant: unpinned bytes never exceed the total budget
-    // (each shard is bounded individually; the sum is bounded too).
+    // Budget invariant: unpinned bytes never exceed the budget.
     if (capacity_bytes != 0) {
-      EXPECT_LE(got.unpinned_bytes,
-                cache.shard_capacity_bytes() * cache.num_shards())
-          << "op " << op;
+      EXPECT_LE(got.unpinned_bytes, capacity_bytes) << "op " << op;
     } else {
       EXPECT_EQ(got.evictions, 0u) << "op " << op;
     }
@@ -374,20 +324,20 @@ void RunModelWorkout(size_t capacity_bytes, size_t shards, uint64_t seed,
 }
 
 TEST(StoreCacheTest, ModelConformanceTinyBudget) {
-  // Budget of ~2 blocks per shard: eviction on nearly every unpin.
-  RunModelWorkout(2 * BlockCache::ChargeOf(8) * 2, 2, 0x5eed, 600);
+  // Budget of ~2 blocks: eviction on nearly every unpin.
+  RunModelWorkout(2 * BlockCache::ChargeOf(8), 0x5eed, 600);
 }
 
-TEST(StoreCacheTest, ModelConformanceSingleShard) {
-  RunModelWorkout(3 * BlockCache::ChargeOf(8), 1, 0xc0ffee, 600);
+TEST(StoreCacheTest, ModelConformanceThreeBlockBudget) {
+  RunModelWorkout(3 * BlockCache::ChargeOf(8), 0xc0ffee, 600);
 }
 
 TEST(StoreCacheTest, ModelConformanceUnbounded) {
-  RunModelWorkout(0, 4, 0xdead, 400);
+  RunModelWorkout(0, 0xdead, 400);
 }
 
 TEST(StoreCacheTest, PinnedBlockSurvivesInvalidation) {
-  BlockCache cache(BlockCache::ChargeOf(8), 1, nullptr);
+  BlockCache cache(BlockCache::ChargeOf(8), nullptr);
   PinnedBlock pin = cache.Insert(3, 0, MakeBlock(4, 9));
   ASSERT_TRUE(pin);
   cache.EraseSegment(3);
@@ -409,7 +359,6 @@ StoreOptions DiffOptions(size_t cache_bytes) {
   o.segment_target_blocks = 4;
   o.field_name = "diff";
   o.cache_bytes = cache_bytes;
-  o.cache_shards = 1;  // makes "budget = one block" literal
   return o;
 }
 
@@ -438,7 +387,7 @@ void BuildPockedStore(MemVfs* vfs) {
 
 TEST(StoreCacheTest, FixedBudgetScanChecksumDifferential) {
   // Expected stream: every row except the quarantined block's 8..15.
-  uint64_t want = kFnvOffset;
+  uint64_t want = kFnvOffsetBasis;
   for (uint64_t i = 0; i < kDiffRows; ++i) {
     if (i >= 8 && i < 16) continue;
     want = FnvRecord(want, i, MakeRecord(i));
@@ -464,7 +413,7 @@ TEST(StoreCacheTest, FixedBudgetScanChecksumDifferential) {
     // Two full scans: the second exercises the hit path under every
     // budget (or the full-eviction path at one block).
     for (int pass = 0; pass < 2; ++pass) {
-      uint64_t got = kFnvOffset;
+      uint64_t got = kFnvOffsetBasis;
       ASSERT_TRUE(s.Scan([&](uint64_t row, const StRecord& rec) {
                      got = FnvRecord(got, row, rec);
                    }).ok())
@@ -492,7 +441,7 @@ TEST(StoreCacheTest, FixedBudgetScanChecksumDifferential) {
 TEST(StoreCacheTest, UnboundedAndBoundedAgreeOnCleanStore) {
   // No quarantine: every budget, including "one block", serves the whole
   // stream bit-identically.
-  uint64_t want = kFnvOffset;
+  uint64_t want = kFnvOffsetBasis;
   for (uint64_t i = 0; i < kDiffRows; ++i) {
     want = FnvRecord(want, i, MakeRecord(i));
   }
@@ -510,7 +459,7 @@ TEST(StoreCacheTest, UnboundedAndBoundedAgreeOnCleanStore) {
     StatusOr<std::unique_ptr<Store>> store =
         Store::Open(&vfs, "db", DiffOptions(budget));
     ASSERT_TRUE(store.ok()) << store.status();
-    uint64_t got = kFnvOffset;
+    uint64_t got = kFnvOffsetBasis;
     ASSERT_TRUE((*store)
                     ->Scan([&](uint64_t row, const StRecord& rec) {
                       got = FnvRecord(got, row, rec);
