@@ -32,6 +32,7 @@
 #include "core/pipeline.h"
 #include "core/random.h"
 #include "core/trajectory.h"
+#include "core/vfs.h"
 #include "exec/fleet_runner.h"
 #include "obs/export.h"
 #include "obs/observer.h"
@@ -299,8 +300,8 @@ ObsOverhead BenchObsOverhead(const TrajectoryPipeline& pipeline,
     o.spans = tracer.num_spans();
     if (export_metrics && !metrics_out.empty()) {
       auto json = obs::MetricsToJson(registry.Snapshot());
-      Status st = json.ok() ? obs::WriteTextFile(metrics_out, json.value())
-                            : json.status();
+      Status st = json.status();
+      if (st.ok()) st = AtomicWriteFile(DefaultVfs(), metrics_out, *json);
       if (!st.ok()) {
         std::fprintf(stderr, "obs_overhead: metrics export failed: %s\n",
                      st.ToString().c_str());

@@ -38,6 +38,7 @@
 #include "core/hash.h"
 #include "core/random.h"
 #include "core/trajectory.h"
+#include "core/vfs.h"
 #include "index/rtree.h"
 #include "kernels/dispatch.h"
 #include "kernels/distance.h"
@@ -45,7 +46,6 @@
 #include "kernels/scalar_ref.h"
 #include "kernels/soa.h"
 #include "query/similarity.h"
-#include "store/vfs.h"
 
 namespace sidq {
 namespace {
@@ -318,8 +318,8 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(r.checksum));
       lines += buf;
     }
-    const sidq::Status st = sidq::store::AtomicWriteFile(
-        sidq::store::DefaultVfs(), checksums_out, lines);
+    const sidq::Status st =
+        sidq::AtomicWriteFile(sidq::DefaultVfs(), checksums_out, lines);
     if (!st.ok()) {
       std::fprintf(stderr, "cannot write %s: %s\n", checksums_out.c_str(),
                    st.message().c_str());

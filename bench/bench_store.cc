@@ -39,10 +39,10 @@
 #include "core/hash.h"
 #include "core/random.h"
 #include "core/stid.h"
+#include "core/vfs.h"
 #include "kernels/crc32c.h"
 #include "kernels/dispatch.h"
 #include "store/store.h"
-#include "store/vfs.h"
 
 namespace sidq {
 namespace {
@@ -109,7 +109,7 @@ uint64_t RecordChecksum(uint64_t h, const StRecord& rec) {
 }
 
 void RemoveTree(const std::string& dir) {
-  store::Vfs* vfs = store::DefaultVfs();
+  Vfs* vfs = DefaultVfs();
   const StatusOr<std::vector<std::string>> names = vfs->ListDir(dir);
   if (names.ok()) {
     for (const std::string& name : *names) {
@@ -161,7 +161,7 @@ uint64_t PeakRssBytes() {
 // Flips one byte inside the second block of a rolled segment, through the
 // Vfs only (read, mutate, rewrite -- the bench runs on the real
 // filesystem, which has no CorruptByte hook).
-void CorruptSecondBlock(store::Vfs* vfs, const std::string& path) {
+void CorruptSecondBlock(Vfs* vfs, const std::string& path) {
   StatusOr<std::string> data = vfs->ReadFile(path);
   if (!data.ok()) Die("corrupt read", data.status());
   const store::ParsedBlock first = store::ParseBlockAt(*data, 0);
@@ -172,8 +172,8 @@ void CorruptSecondBlock(store::Vfs* vfs, const std::string& path) {
     std::exit(1);
   }
   (*data)[first.bytes_consumed + 20] ^= 0x10;
-  StatusOr<std::unique_ptr<store::WritableFile>> f =
-      vfs->NewWritableFile(path, store::WriteMode::kTruncate);
+  StatusOr<std::unique_ptr<WritableFile>> f =
+      vfs->NewWritableFile(path, WriteMode::kTruncate);
   if (!f.ok()) Die("corrupt reopen", f.status());
   Status st = (*f)->Append(*data);
   if (st.ok()) st = (*f)->Close();
@@ -342,7 +342,7 @@ int main(int argc, char** argv) {
   // a power cut mid-append would, and time the recovery that truncates it.
   const std::string torn_dir = scratch + "/recover16";
   {
-    store::Vfs* vfs = store::DefaultVfs();
+    Vfs* vfs = DefaultVfs();
     // The torn append lands where a crash would put it: at the end of the
     // highest-numbered (actively written) segment.
     StatusOr<std::vector<std::string>> names = vfs->ListDir(torn_dir);
@@ -357,8 +357,8 @@ int main(int argc, char** argv) {
                    torn_dir.c_str());
       return 1;
     }
-    StatusOr<std::unique_ptr<store::WritableFile>> f = vfs->NewWritableFile(
-        torn_dir + "/" + last_seg, store::WriteMode::kAppend);
+    StatusOr<std::unique_ptr<WritableFile>> f = vfs->NewWritableFile(
+        torn_dir + "/" + last_seg, WriteMode::kAppend);
     if (!f.ok()) Die("torn append open", f.status());
     Status st = (*f)->Append("SBLK torn by a power cut");
     if (st.ok()) st = (*f)->Close();
@@ -472,7 +472,7 @@ int main(int argc, char** argv) {
     const Status st = (*db)->Close();
     if (!st.ok()) Die("compact build commit", st);
   }
-  store::Vfs* vfs = store::DefaultVfs();
+  Vfs* vfs = DefaultVfs();
   uint64_t compact_input_bytes = 0;
   for (const uint32_t seg : pocked_segs) {
     const std::string path = compact_dir + "/" + store::SegmentFileName(seg);

@@ -70,6 +70,7 @@
 #include "core/pipeline.h"
 #include "core/quality.h"
 #include "core/random.h"
+#include "core/vfs.h"
 #include "exec/fleet_runner.h"
 #include "geometry/bbox.h"
 #include "obs/export.h"
@@ -84,7 +85,6 @@
 #include "stream/event_log.h"
 #include "stream/replay.h"
 #include "store/store.h"
-#include "store/vfs.h"
 #include "stream/rules.h"
 #include "uncertainty/completion.h"
 
@@ -211,7 +211,7 @@ int StoreScanMode(const std::string& store_dir, const std::string& out,
   std::printf("store %s: gen %llu, %s\n", store_dir.c_str(),
               static_cast<unsigned long long>(db.manifest_gen()),
               r.Summary().c_str());
-  stream::QuarantineLedger ledger;
+  QuarantineLedger ledger;
   db.AppendQuarantineTo(&ledger);
   for (const auto& [reason, count] : ledger.CountsByReason()) {
     std::printf("  quarantine %-18s %lld\n", reason.c_str(),
@@ -244,7 +244,7 @@ int StoreScanMode(const std::string& store_dir, const std::string& out,
   std::string text = "# sidq-store-scan v1 field=" + db.field_name() +
                      " rows=" + std::to_string(rows) + "\n";
   text += dump;
-  const Status st = store::AtomicWriteFile(nullptr, out, text);
+  const Status st = AtomicWriteFile(DefaultVfs(), out, text);
   if (!st.ok()) {
     std::fprintf(stderr, "store scan write failed: %s\n",
                  st.ToString().c_str());
@@ -357,7 +357,7 @@ int ReplayMode(const std::string& path, const std::string& stream_out,
   }
 
   if (!stream_out.empty()) {
-    const Status st = obs::WriteTextFile(stream_out, stream_json);
+    const Status st = AtomicWriteFile(DefaultVfs(), stream_out, stream_json);
     if (!st.ok()) {
       std::fprintf(stderr, "stream-out write failed: %s\n",
                    st.ToString().c_str());
@@ -610,7 +610,7 @@ int main(int argc, char** argv) {
                    json.status().ToString().c_str());
       return 1;
     }
-    Status st = obs::WriteTextFile(metrics_out, json.value());
+    Status st = AtomicWriteFile(DefaultVfs(), metrics_out, json.value());
     if (!st.ok()) {
       std::fprintf(stderr, "metrics write failed: %s\n",
                    st.ToString().c_str());
@@ -625,7 +625,7 @@ int main(int argc, char** argv) {
                    json.status().ToString().c_str());
       return 1;
     }
-    Status st = obs::WriteTextFile(trace_out, json.value());
+    Status st = AtomicWriteFile(DefaultVfs(), trace_out, json.value());
     if (!st.ok()) {
       std::fprintf(stderr, "trace write failed: %s\n", st.ToString().c_str());
       return 1;

@@ -9,9 +9,12 @@ walking both documents in parallel and checking every numeric metric leaf:
   slowdown keys (higher is worse): obs_slowdown
 
 A metric that moved in the bad direction by more than --tolerance
-(default 0.15, i.e. >15%) is a regression. Structural drift (a metric
-present on one side only, list length changes) is reported but tolerated:
-benches grow new rows; they must not silently lose performance.
+(default 0.15, i.e. >15%) is a regression. Lists of kernel rows
+({"primitive": <name>, ...}) pair by name, so adding or dropping a row
+never shifts its neighbours onto the wrong baseline; other lists pair by
+index. Structural drift (a metric or named row present on one side only,
+list length changes) is reported but tolerated: benches grow new rows;
+they must not silently lose performance.
 
 --ratios-only restricts the check to ratio and slowdown keys (both are
 machine-independent quotients of two same-machine timings, so they stay
@@ -65,6 +68,16 @@ SPEEDUP_FLOORS = {
 }
 
 
+def named_rows(rows):
+    """{primitive name: row} when every row is a dict with a distinct
+    "primitive" name, else None (the list pairs by index)."""
+    names = [r.get("primitive") if isinstance(r, dict) else None
+             for r in rows]
+    if not rows or None in names or len(set(names)) != len(names):
+        return None
+    return dict(zip(names, rows))
+
+
 def walk(base, new, path, metrics, drift):
     if isinstance(base, dict) and isinstance(new, dict):
         for key in sorted(set(base) | set(new)):
@@ -77,6 +90,16 @@ def walk(base, new, path, metrics, drift):
                 continue
             walk(base[key], new[key], sub, metrics, drift)
     elif isinstance(base, list) and isinstance(new, list):
+        base_rows, new_rows = named_rows(base), named_rows(new)
+        if base_rows is not None and new_rows is not None:
+            for name in sorted(set(base_rows) | set(new_rows)):
+                sub = f"{path}[{name}]"
+                if name not in base_rows or name not in new_rows:
+                    side = "new" if name in new_rows else "baseline"
+                    drift.append(f"{sub}: only in {side}")
+                    continue
+                walk(base_rows[name], new_rows[name], sub, metrics, drift)
+            return
         if len(base) != len(new):
             drift.append(f"{path}: length {len(base)} -> {len(new)}")
         for i, (b, n) in enumerate(zip(base, new)):

@@ -86,15 +86,14 @@ Rules
                          (e.g. bulk-load construction) annotate with
                          `// sidq: allow-hotloop-heap-alloc(<reason>)`.
   R15 raw-io             raw `std::ofstream` / `fopen` anywhere outside
-                         src/store/vfs.cc. Every persisted byte goes
-                         through the store Vfs seam (store/vfs.h:
-                         AtomicWriteFile, ReadFileToString, WritableFile)
-                         so short writes, torn appends and lost fsyncs are
-                         injectable and the durability tests mean
-                         something; an ofstream bypass swallows short
-                         writes and close errors silently. Reads via
-                         std::ifstream are allowed (they cannot lose
-                         data). Justified exceptions annotate with
+                         src/core/vfs.cc. Every persisted byte goes
+                         through the Vfs seam (core/vfs.h: AtomicWriteFile,
+                         WritableFile) so short writes, torn appends and
+                         lost fsyncs are injectable and the durability
+                         tests mean something; an ofstream bypass
+                         swallows short writes and close errors silently.
+                         Reads via std::ifstream are allowed (they cannot
+                         lose data). Justified exceptions annotate with
                          `// sidq: allow-raw-io(<reason>)`.
   R16 raw-read           whole-file `Vfs::ReadFile(` inside src/store/
                          outside the Vfs implementation and the bounded
@@ -109,6 +108,14 @@ Rules
                          FNV-1a has one home (Fnv1a / FnvMixWord and the
                          named seeds there), so checksum seeds cannot
                          drift apart between private copies. No
+                         suppression.
+  R18 include-layering   an `#include "<b>/..."` in src/<a>/ where <b> is
+                         a library that sidq_<a> does not link, directly
+                         or transitively. The link graph is parsed from
+                         src/*/CMakeLists.txt, so the rule and the build
+                         cannot disagree; a header from an unlinked layer
+                         is a dependency cycle waiting to happen. Move the
+                         shared code down into a library both link. No
                          suppression.
 
 Suppression syntax
@@ -182,6 +189,7 @@ RULES = {
     "R15": "raw-io",
     "R16": "raw-read",
     "R17": "fnv-constant",
+    "R18": "include-layering",
     "S1": "legacy-suppression",
     "S2": "unknown-suppression",
     "S3": "missing-reason",
@@ -259,13 +267,13 @@ RESERVE_CALL_RE = re.compile(
 ARENA_VEC_DECL_RE = re.compile(
     r"\bArenaVec<[^;{}]*?>\s*[*&]?\s*([A-Za-z_]\w*)")
 
-# R15: writer-side raw file I/O. The store Vfs (src/store/vfs.h) is the
+# R15: writer-side raw file I/O. The Vfs (src/core/vfs.h) is the
 # single seam all persistence goes through -- that is what makes short
 # writes, torn appends and lost fsyncs injectable. Only the seam's own
 # implementation may touch the raw APIs. std::ifstream (read-only) is
 # deliberately NOT matched.
 RAW_IO_RE = re.compile(r"\b(?:std::)?ofstream\b|\b(?:std::)?fopen\s*\(")
-RAW_IO_ALLOWED_FILE = "src/store/vfs.cc"
+RAW_IO_ALLOWED_FILE = "src/core/vfs.cc"
 
 # R16: whole-file reads inside the store. Segment bytes flow through
 # NewRandomAccessFile + the BlockReader in block-sized chunks so peak
@@ -283,6 +291,14 @@ RAW_READ_ALLOWED_FILES = {
 # R17: the FNV prime (decimal or hex) anywhere but its one home.
 FNV_PRIME_RE = re.compile(r"\b(?:1099511628211|0[xX]0*100000001[bB]3)(?!\d)")
 FNV_ALLOWED_FILE = "src/core/hash.h"
+
+# R18: quoted includes of another src/ module must follow the link graph
+# declared in src/*/CMakeLists.txt (module <a> builds library sidq_<a>).
+INCLUDE_MODULE_RE = re.compile(r'^\s*#\s*include\s*"([A-Za-z_]\w*)/')
+SRC_MODULE_RE = re.compile(r"^src/([A-Za-z_]\w*)/")
+CMAKE_LIBRARY_RE = re.compile(r"\badd_library\s*\(\s*sidq_(\w+)")
+CMAKE_LINK_RE = re.compile(
+    r"\btarget_link_libraries\s*\(\s*sidq_(\w+)([^)]*)\)")
 
 # R11 scope: layers whose iteration order can reach snapshots, exports,
 # serialized traces or query/analytics results.
@@ -620,9 +636,9 @@ def run_line_rules(ctx):
         if rel != RAW_IO_ALLOWED_FILE and RAW_IO_RE.search(code):
             if not ctx.suppressed(lineno, "raw-io"):
                 ctx.add(lineno, "R15",
-                        "raw std::ofstream/fopen outside src/store/vfs.cc; "
-                        "persist through the store Vfs "
-                        "(store::AtomicWriteFile / WritableFile) so "
+                        "raw std::ofstream/fopen outside src/core/vfs.cc; "
+                        "persist through the Vfs "
+                        "(AtomicWriteFile / WritableFile) so "
                         "durability faults stay injectable, or annotate "
                         "with '// sidq: allow-raw-io(<reason>)'")
 
@@ -678,6 +694,51 @@ def run_line_rules(ctx):
                 depth -= 1
                 while loop_depths and depth <= loop_depths[-1]:
                     loop_depths.pop()
+
+
+# ---------------------------------------------------------------------------
+# Pass 2b: R18 -- includes follow the CMake link graph
+
+def load_link_closure(root):
+    """{module: modules it links, itself included, transitively}, parsed
+    from src/*/CMakeLists.txt. Empty when the tree has none."""
+    direct = {}
+    for cmake in sorted((root / "src").glob("*/CMakeLists.txt")):
+        text = re.sub(r"#[^\n]*", "", cmake.read_text(encoding="utf-8"))
+        for m in CMAKE_LIBRARY_RE.finditer(text):
+            direct.setdefault(m.group(1), set())
+        for m in CMAKE_LINK_RE.finditer(text):
+            direct.setdefault(m.group(1), set()).update(
+                re.findall(r"\bsidq_(\w+)", m.group(2)))
+    closure = {}
+    for module in direct:
+        seen, stack = {module}, [module]
+        while stack:
+            for dep in direct.get(stack.pop(), ()):
+                if dep not in seen:
+                    seen.add(dep)
+                    stack.append(dep)
+        closure[module] = seen
+    return closure
+
+
+def run_include_layering_rule(ctx, closure):
+    m = SRC_MODULE_RE.match(ctx.rel)
+    if not m or m.group(1) not in closure:
+        return
+    module = m.group(1)
+    for idx, raw in enumerate(ctx.raw_lines):
+        inc = INCLUDE_MODULE_RE.match(raw)
+        # code_lines blanks comments, so a commented-out include is inert.
+        if not inc or "#" not in ctx.code_lines[idx]:
+            continue
+        dep = inc.group(1)
+        if dep in closure and dep not in closure[module]:
+            ctx.add(idx + 1, "R18",
+                    f'#include "{dep}/..." in src/{module}/, but '
+                    f"sidq_{module} does not link sidq_{dep} (directly or "
+                    "transitively, per src/*/CMakeLists.txt); move the "
+                    "shared code down into a library both link")
 
 
 # ---------------------------------------------------------------------------
@@ -936,6 +997,7 @@ def collect_files(root, paths):
 
 def lint_tree(root, files):
     findings = []
+    closure = load_link_closure(root)
     for f in files:
         if not f.is_file():
             print(f"sidq-lint: no such file: {f}", file=sys.stderr)
@@ -946,6 +1008,7 @@ def lint_tree(root, files):
             rel = f.as_posix()
         ctx = FileContext(f, rel, root)
         run_line_rules(ctx)
+        run_include_layering_rule(ctx, closure)
         run_unordered_iter_rule(ctx)
         run_guarded_by_rule(ctx)
         run_unused_suppression_pass(ctx)

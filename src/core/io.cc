@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 
-#include "store/vfs.h"
+#include "core/vfs.h"
 
 namespace sidq {
 
@@ -64,7 +63,7 @@ Status WriteTrajectoriesCsvFile(const std::vector<Trajectory>& trajectories,
   // leave a truncated CSV that parses as valid-but-short.
   std::ostringstream out;
   SIDQ_RETURN_IF_ERROR(WriteTrajectoriesCsv(trajectories, out));
-  return store::AtomicWriteFile(store::DefaultVfs(), path, out.str());
+  return AtomicWriteFile(DefaultVfs(), path, out.str());
 }
 
 StatusOr<std::vector<Trajectory>> ReadTrajectoriesCsv(std::istream& in) {
@@ -109,8 +108,8 @@ StatusOr<std::vector<Trajectory>> ReadTrajectoriesCsv(std::istream& in) {
 
 StatusOr<std::vector<Trajectory>> ReadTrajectoriesCsvFile(
     const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
+  SIDQ_ASSIGN_OR_RETURN(std::string data, DefaultVfs()->ReadFile(path));
+  std::istringstream in(std::move(data));
   return ReadTrajectoriesCsv(in);
 }
 
@@ -130,7 +129,7 @@ Status WriteStidCsv(const StDataset& dataset, std::ostream& out) {
 Status WriteStidCsvFile(const StDataset& dataset, const std::string& path) {
   std::ostringstream out;
   SIDQ_RETURN_IF_ERROR(WriteStidCsv(dataset, out));
-  return store::AtomicWriteFile(store::DefaultVfs(), path, out.str());
+  return AtomicWriteFile(DefaultVfs(), path, out.str());
 }
 
 StatusOr<StDataset> ReadStidCsv(std::istream& in, std::string field_name) {
@@ -186,8 +185,8 @@ StatusOr<StDataset> ReadStidCsv(std::istream& in, std::string field_name) {
 
 StatusOr<StDataset> ReadStidCsvFile(const std::string& path,
                                     std::string field_name) {
-  std::ifstream in(path);
-  if (!in.is_open()) return Status::NotFound("cannot open " + path);
+  SIDQ_ASSIGN_OR_RETURN(std::string data, DefaultVfs()->ReadFile(path));
+  std::istringstream in(std::move(data));
   return ReadStidCsv(in, std::move(field_name));
 }
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "store/vfs.h"
-
 namespace sidq {
 namespace obs {
 
@@ -161,13 +159,6 @@ StatusOr<std::string> TraceToChromeJson(const std::vector<SpanRecord>& spans) {
   }
   out += "]}";
   return out;
-}
-
-Status WriteTextFile(const std::string& path, const std::string& content) {
-  // tmp + fsync + rename + dir-fsync: a crash or full disk mid-export can
-  // never leave a truncated file that parses as a valid-but-short JSON
-  // document (the silent-drop failure mode sidq exists to prevent).
-  return store::AtomicWriteFile(store::DefaultVfs(), path, content);
 }
 
 }  // namespace obs

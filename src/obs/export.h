@@ -18,7 +18,9 @@ namespace obs {
 //
 // Both exporters fail loudly instead of emitting invalid JSON: a histogram
 // flagged invalid (NaN/Inf samples or bad bounds) or any non-finite value
-// in the data yields Status::InvalidArgument.
+// in the data yields Status::InvalidArgument. Callers publish the
+// strings with AtomicWriteFile (core/vfs.h), so a crash mid-export never
+// leaves a truncated document.
 
 // Serializes a merged snapshot:
 //   {"counters":[{"name":...,"value":...}],
@@ -33,13 +35,6 @@ namespace obs {
 // (kProcessKey maps to tid 0), and args {key, depth, seq[, note]}.
 [[nodiscard]] StatusOr<std::string> TraceToChromeJson(
     const std::vector<SpanRecord>& spans);
-
-// Writes `content` to `path` atomically (tmp + fsync + rename + dir-fsync
-// via the store Vfs): readers see the old file or the new one, never a
-// truncated in-between. Fails with Status on any I/O error, including
-// short writes and failing closes.
-[[nodiscard]] Status WriteTextFile(const std::string& path,
-                                   const std::string& content);
 
 namespace internal_json {
 // Shortest-round-trip formatting for a finite double; integer-valued

@@ -714,21 +714,21 @@ uint64_t Store::rows_readable() const {
   return rows;
 }
 
-void Store::AppendQuarantineTo(stream::QuarantineLedger* ledger) const {
+void Store::AppendQuarantineTo(QuarantineLedger* ledger) const {
   for (const QuarantinedBlockEntry& q : recovery_.quarantined) {
-    stream::QuarantineEntry entry;
+    QuarantineEntry entry;
     entry.seq = q.row_start;
     entry.sensor = kInvalidSensorId;
-    entry.reason = stream::QuarantineReason::kStoreCorruptBlock;
+    entry.reason = QuarantineReason::kStoreCorruptBlock;
     ledger->Add(entry);
   }
   if (recovery_.tail_truncated) {
-    stream::QuarantineEntry entry;
+    QuarantineEntry entry;
     // The first row id that could have been lost to the torn tail: all
     // accounted rows are either recovered or quarantined above.
     entry.seq = recovery_.rows_recovered + recovery_.rows_lost;
     entry.sensor = kInvalidSensorId;
-    entry.reason = stream::QuarantineReason::kStoreTornTail;
+    entry.reason = QuarantineReason::kStoreTornTail;
     ledger->Add(entry);
   }
 }

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/quarantine.h"
 #include "core/status.h"
 #include "core/statusor.h"
 #include "core/stid.h"
@@ -17,7 +18,6 @@
 #include "store/format.h"
 #include "store/segment.h"
 #include "store/vfs.h"
-#include "stream/quarantine.h"
 
 namespace sidq {
 namespace store {
@@ -160,9 +160,9 @@ class Store {
     return cache_->GetStats();
   }
 
-  // Surfaces recovery verdicts into a stream-side quarantine ledger
-  // (reasons kStoreCorruptBlock / kStoreTornTail), seq = first lost row.
-  void AppendQuarantineTo(stream::QuarantineLedger* ledger) const;
+  // Surfaces recovery verdicts into a quarantine ledger (reasons
+  // kStoreCorruptBlock / kStoreTornTail), seq = first lost row.
+  void AppendQuarantineTo(QuarantineLedger* ledger) const;
 
  private:
   [[nodiscard]] Status Recover();

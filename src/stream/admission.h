@@ -4,10 +4,10 @@
 #include <map>
 #include <set>
 
+#include "core/quarantine.h"
 #include "core/stid.h"
 #include "core/types.h"
 #include "stream/event_log.h"
-#include "stream/quarantine.h"
 #include "stream/rules.h"
 
 namespace sidq {

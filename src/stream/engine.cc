@@ -52,6 +52,22 @@ void StreamOutput::Merge(StreamOutput&& other) {
   ingested += other.ingested;
 }
 
+std::string QuarantineLedgerToJson(const QuarantineLedger& ledger) {
+  std::ostringstream out;
+  out << "[";
+  for (size_t i = 0; i < ledger.size(); ++i) {
+    const QuarantineEntry& e = ledger.entries()[i];
+    if (i > 0) out << ",";
+    out << "\n  {\"seq\":" << e.seq << ",\"sensor\":" << e.sensor
+        << ",\"t\":" << e.t
+        << ",\"value\":" << obs::internal_json::FormatDouble(e.value)
+        << ",\"reason\":\"" << QuarantineReasonName(e.reason) << "\"}";
+  }
+  if (!ledger.empty()) out << "\n";
+  out << "]";
+  return out.str();
+}
+
 std::string StreamOutputToJson(const StreamOutput& output) {
   using obs::internal_json::EscapeString;
   using obs::internal_json::FormatDouble;
@@ -69,8 +85,8 @@ std::string StreamOutputToJson(const StreamOutput& output) {
       first = false;
     }
   }
-  out << (first ? "" : "\n") << "],\n\"quarantine\":" << output.ledger.ToJson()
-      << ",\n\"kpis\":[";
+  out << (first ? "" : "\n") << "],\n\"quarantine\":"
+      << QuarantineLedgerToJson(output.ledger) << ",\n\"kpis\":[";
   for (size_t i = 0; i < output.kpis.size(); ++i) {
     out << (i == 0 ? "" : ",") << "\n  " << WindowKpisToJson(output.kpis[i]);
   }

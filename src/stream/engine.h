@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/exec_context.h"
+#include "core/quarantine.h"
 #include "core/stid.h"
 #include "core/types.h"
 #include "obs/observer.h"
@@ -13,7 +14,6 @@
 #include "refine/online_kalman.h"
 #include "stream/admission.h"
 #include "stream/event_log.h"
-#include "stream/quarantine.h"
 #include "stream/rules.h"
 #include "stream/window.h"
 
@@ -66,6 +66,10 @@ struct StreamOutput {
   // afterwards to restore canonical order.
   void Merge(StreamOutput&& other);
 };
+
+// Canonical JSON array, one object per ledger entry, in entry order.
+[[nodiscard]] std::string QuarantineLedgerToJson(
+    const QuarantineLedger& ledger);
 
 // Canonical JSON document for a StreamOutput (stable key order, canonical
 // float formatting). The differential and golden tests compare these

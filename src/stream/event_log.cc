@@ -11,8 +11,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/vfs.h"
 #include "obs/export.h"
-#include "store/vfs.h"
 
 namespace sidq {
 namespace stream {
@@ -107,13 +107,12 @@ Status WriteEventLogFile(const EventLog& log, const std::string& path) {
   // mid-line leaves a partial line; cutting at a line boundary removes the
   // trailer itself.
   out << kTrailerPrefix << log.events.size() << "\n";
-  return obs::WriteTextFile(path, out.str());
+  return AtomicWriteFile(DefaultVfs(), path, out.str());
 }
 
 StatusOr<EventLog> ReadEventLogFile(const std::string& path,
                                     obs::MetricsRegistry* metrics) {
-  SIDQ_ASSIGN_OR_RETURN(const std::string data,
-                        store::ReadFileToString(store::DefaultVfs(), path));
+  SIDQ_ASSIGN_OR_RETURN(const std::string data, DefaultVfs()->ReadFile(path));
   if (data.empty()) {
     return Status::InvalidArgument("empty event log: " + path);
   }

@@ -6,12 +6,12 @@
 
 #include "core/arena.h"
 #include "core/quality.h"
+#include "core/quarantine.h"
 #include "core/stid.h"
 #include "core/types.h"
 #include "outlier/online_detectors.h"
 #include "refine/online_kalman.h"
 #include "stream/event_log.h"
-#include "stream/quarantine.h"
 #include "stream/rules.h"
 
 namespace sidq {

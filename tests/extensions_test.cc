@@ -130,6 +130,30 @@ TEST(IoTest, FileRoundTrip) {
   ASSERT_EQ(loaded->size(), 1u);
   EXPECT_DOUBLE_EQ((*loaded)[0][0].accuracy, 3.0);
   EXPECT_FALSE(ReadTrajectoriesCsvFile("/nonexistent/nope.csv").ok());
+  EXPECT_EQ(ReadTrajectoriesCsvFile("/nonexistent/nope.csv").status().code(),
+            StatusCode::kNotFound);
+
+  StDataset stid("pm25");
+  StSeries series(7, Point(10.0, 20.0));
+  ASSERT_TRUE(series.Append(0, 12.5, 0.5).ok());
+  ASSERT_TRUE(series.Append(60'000, 13.25, -1.0).ok());
+  stid.AddSeries(std::move(series));
+  const std::string stid_path = ::testing::TempDir() + "/sidq_io_stid.csv";
+  ASSERT_TRUE(WriteStidCsvFile(stid, stid_path).ok());
+  const auto stid_loaded = ReadStidCsvFile(stid_path, "pm25");
+  ASSERT_TRUE(stid_loaded.ok());
+  EXPECT_EQ(stid_loaded->field_name(), "pm25");
+  ASSERT_EQ(stid_loaded->num_sensors(), 1u);
+  const StSeries& got = stid_loaded->series()[0];
+  EXPECT_EQ(got.sensor(), 7u);
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[1].t, 60'000);
+  EXPECT_DOUBLE_EQ(got[0].value, 12.5);
+  EXPECT_DOUBLE_EQ(got[0].stddev, 0.5);
+  EXPECT_DOUBLE_EQ(got[1].value, 13.25);
+  EXPECT_DOUBLE_EQ(got[1].loc.y, 20.0);
+  EXPECT_EQ(ReadStidCsvFile("/nonexistent/nope.csv", "pm25").status().code(),
+            StatusCode::kNotFound);
 }
 
 // ----------------------------------------------------------------- Burst

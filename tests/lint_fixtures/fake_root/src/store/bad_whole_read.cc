@@ -1,5 +1,7 @@
 #include <string>
 
+#include "geometry/point.h"  // transitive through sidq_core: clean
+
 namespace fake_store {
 
 struct FakeVfs {

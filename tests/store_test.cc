@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/quarantine.h"
 #include "core/stid.h"
 #include "force_isa_guard.h"
 #include "kernels/crc32c.h"
@@ -27,7 +28,6 @@
 #include "store/segment.h"
 #include "store/store.h"
 #include "store/vfs.h"
-#include "stream/quarantine.h"
 
 namespace sidq {
 namespace store {
@@ -769,11 +769,10 @@ TEST(StoreTest, CorruptInteriorBlockIsQuarantinedWithReason) {
   EXPECT_EQ(lost_total, 8u);
 
   // Ledger surfacing with the store-specific reason code.
-  stream::QuarantineLedger ledger;
+  QuarantineLedger ledger;
   r.AppendQuarantineTo(&ledger);
   ASSERT_EQ(ledger.entries().size(), 1u);
-  EXPECT_EQ(ledger.entries()[0].reason,
-            stream::QuarantineReason::kStoreCorruptBlock);
+  EXPECT_EQ(ledger.entries()[0].reason, QuarantineReason::kStoreCorruptBlock);
   EXPECT_EQ(ledger.entries()[0].seq, 8u);
 
   // Metrics surfaced the loss.

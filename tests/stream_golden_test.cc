@@ -99,7 +99,7 @@ GoldenRun RunGolden(int workers) {
   EXPECT_TRUE(streamed.ok()) << streamed.status();
   GoldenRun run;
   if (!streamed.ok()) return run;
-  run.ledger_json = streamed->ledger.ToJson();
+  run.ledger_json = QuarantineLedgerToJson(streamed->ledger);
   for (const WindowKpis& kpis : streamed->kpis) {
     run.kpis_json += WindowKpisToJson(kpis) + "\n";
   }

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/clock.h"
-#include "obs/export.h"
+#include "core/vfs.h"
 #include "core/exec_context.h"
 #include "core/failpoint.h"
 #include "core/random.h"
@@ -25,7 +25,6 @@
 #include "stream/replay.h"
 #include "stream/rules.h"
 #include "stream/window.h"
-#include "store/vfs.h"
 
 namespace sidq {
 namespace stream {
@@ -300,10 +299,8 @@ TEST(EventLogTest, FileRoundTripIsExact) {
   // Rewriting the reread log reproduces the file byte-for-byte.
   const std::string path2 = ::testing::TempDir() + "/stream_events2.log";
   ASSERT_TRUE(WriteEventLogFile(*reread, path2).ok());
-  const StatusOr<std::string> b1 =
-      store::ReadFileToString(store::DefaultVfs(), path);
-  const StatusOr<std::string> b2 =
-      store::ReadFileToString(store::DefaultVfs(), path2);
+  const StatusOr<std::string> b1 = DefaultVfs()->ReadFile(path);
+  const StatusOr<std::string> b2 = DefaultVfs()->ReadFile(path2);
   ASSERT_TRUE(b1.ok());
   ASSERT_TRUE(b2.ok());
   EXPECT_EQ(*b1, *b2);
@@ -313,33 +310,38 @@ TEST(EventLogTest, ReaderRejectsCorruptLogs) {
   const std::string path = ::testing::TempDir() + "/bad_events.log";
   const std::string header = "# sidq-event-log v1 field=x\n";
   EXPECT_FALSE(ReadEventLogFile(::testing::TempDir() + "/missing.log").ok());
-  ASSERT_TRUE(
-      obs::WriteTextFile(path, "# wrong header\n0 1 2 3 4 5 6 7\n").ok());
+  ASSERT_TRUE(AtomicWriteFile(DefaultVfs(), path,
+                              "# wrong header\n0 1 2 3 4 5 6 7\n")
+                  .ok());
   EXPECT_EQ(ReadEventLogFile(path).status().code(),
             StatusCode::kInvalidArgument);
   // Interior garbling (complete file, bad content) is InvalidArgument, not
   // DataLoss: retrying recovery will not help.
-  ASSERT_TRUE(obs::WriteTextFile(path, header +
-                                           "5 1 0 0 0 1 1 0\n"
-                                           "# sidq-event-log end count=1\n")
+  ASSERT_TRUE(AtomicWriteFile(DefaultVfs(), path,
+                              header +
+                                  "5 1 0 0 0 1 1 0\n"
+                                  "# sidq-event-log end count=1\n")
                   .ok());
   EXPECT_EQ(ReadEventLogFile(path).status().code(),
             StatusCode::kInvalidArgument);  // seq gap
-  ASSERT_TRUE(obs::WriteTextFile(path, header +
-                                           "0 1 0 0 0 1 1 0\n"
-                                           "# sidq-event-log end count=7\n")
+  ASSERT_TRUE(AtomicWriteFile(DefaultVfs(), path,
+                              header +
+                                  "0 1 0 0 0 1 1 0\n"
+                                  "# sidq-event-log end count=7\n")
                   .ok());
   EXPECT_EQ(ReadEventLogFile(path).status().code(),
             StatusCode::kInvalidArgument);  // trailer count mismatch
-  ASSERT_TRUE(obs::WriteTextFile(path, header +
-                                           "# sidq-event-log end count=0\n"
-                                           "0 1 0 0 0 1 1 0\n")
+  ASSERT_TRUE(AtomicWriteFile(DefaultVfs(), path,
+                              header +
+                                  "# sidq-event-log end count=0\n"
+                                  "0 1 0 0 0 1 1 0\n")
                   .ok());
   EXPECT_EQ(ReadEventLogFile(path).status().code(),
             StatusCode::kInvalidArgument);  // data after trailer
-  ASSERT_TRUE(obs::WriteTextFile(path, header +
-                                           "0 1 garbage 0 0 1 1 0\n"
-                                           "# sidq-event-log end count=1\n")
+  ASSERT_TRUE(AtomicWriteFile(DefaultVfs(), path,
+                              header +
+                                  "0 1 garbage 0 0 1 1 0\n"
+                                  "# sidq-event-log end count=1\n")
                   .ok());
   EXPECT_EQ(ReadEventLogFile(path).status().code(),
             StatusCode::kInvalidArgument);  // unparseable interior line
@@ -358,15 +360,15 @@ TEST(EventLogTest, TruncationSweepReportsTornTail) {
 
   const std::string path = ::testing::TempDir() + "/sweep_events.log";
   ASSERT_TRUE(WriteEventLogFile(log, path).ok());
-  const StatusOr<std::string> full =
-      store::ReadFileToString(store::DefaultVfs(), path);
+  const StatusOr<std::string> full = DefaultVfs()->ReadFile(path);
   ASSERT_TRUE(full.ok());
 
   obs::MetricsRegistry registry;
   const std::string cut_path = ::testing::TempDir() + "/sweep_events_cut.log";
   int64_t torn = 0;
   for (size_t len = 0; len < full->size(); ++len) {
-    ASSERT_TRUE(obs::WriteTextFile(cut_path, full->substr(0, len)).ok());
+    ASSERT_TRUE(
+        AtomicWriteFile(DefaultVfs(), cut_path, full->substr(0, len)).ok());
     const StatusOr<EventLog> got = ReadEventLogFile(cut_path, &registry);
     ASSERT_FALSE(got.ok()) << "prefix of " << len << " bytes parsed as valid";
     if (len == 0) {
