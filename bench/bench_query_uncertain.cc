@@ -2,6 +2,8 @@
 // and kNN pruning effectiveness, bead vs Markov-grid trajectory queries,
 // safe-region message savings, and skew-aware partitioning.
 
+#include <chrono>
+
 #include "bench/bench_util.h"
 #include "core/random.h"
 #include "query/continuous.h"
@@ -56,6 +58,55 @@ int Run() {
                    bench::F3(stats.PrunedFraction())});
   }
   table2.Print();
+
+  // The per-request query batch of perfbench's warm_query workload: one
+  // batched range call over 32 boxes of 400 m, then kNN (k = 10) for 4
+  // probes, over ~28k Gaussian points (GPS sigma 8-16 m).
+  std::printf("-- warm-query-shaped batch: range + kNN time per call --\n");
+  {
+    constexpr int kPoints = 28000;
+    constexpr int kReps = 20;
+    Rng wrng(1313);  // own stream: later tables keep their inputs
+    std::vector<query::UncertainPoint> pts;
+    for (int i = 0; i < kPoints; ++i) {
+      pts.push_back(query::UncertainPoint::MakeGaussian(
+          i, geometry::Point(wrng.Uniform(0, 12000), wrng.Uniform(0, 12000)),
+          wrng.Uniform(8.0, 16.0)));
+    }
+    std::vector<geometry::BBox> boxes;
+    for (int i = 0; i < 32; ++i) {
+      const double x = wrng.Uniform(200, 11800), y = wrng.Uniform(200, 11800);
+      boxes.emplace_back(x - 200, y - 200, x + 200, y + 200);
+    }
+    std::vector<geometry::Point> probes;
+    for (int i = 0; i < 4; ++i) {
+      probes.emplace_back(wrng.Uniform(0, 12000), wrng.Uniform(0, 12000));
+    }
+    size_t results = 0;
+    double range_ms = 0.0, knn_ms = 0.0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      auto t0 = std::chrono::steady_clock::now();
+      for (const auto& ids :
+           query::ProbabilisticRangeQueryMany(pts, boxes, 0.5)) {
+        results += ids.size();
+      }
+      auto t1 = std::chrono::steady_clock::now();
+      range_ms += std::chrono::duration<double, std::milli>(t1 - t0).count();
+      for (const geometry::Point& q : probes) {
+        results += query::ExpectedDistanceKnn(pts, q, 10).size();
+      }
+      knn_ms += std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t1)
+                    .count();
+    }
+    bench::Table tablew({"points", "boxes", "kNN probes", "results/call",
+                         "range ms/call", "kNN ms/call"});
+    tablew.AddRow({std::to_string(kPoints), std::to_string(boxes.size()),
+                   std::to_string(probes.size()),
+                   std::to_string(results / kReps), bench::F3(range_ms / kReps),
+                   bench::F3(knn_ms / kReps)});
+    tablew.Print();
+  }
 
   std::printf("-- probabilistic range aggregates (Poisson-binomial "
               "count) --\n");

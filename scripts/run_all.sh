@@ -14,12 +14,14 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
 
-# Forced-scalar store leg: the software CRC32C is the oracle the SSE4.2
-# path is checked against, so the store suites run once more with it
-# pinned. Every block and manifest CRC must match either way.
+# Forced-scalar store and query leg: the software CRC32C is the oracle the
+# SSE4.2 path is checked against, so the store suites run once more with
+# it pinned. Every block and manifest CRC must match either way. The
+# batched range query calls the dispatched leaf_scan directly, so the
+# uncertain range and kNN suites run on the scalar tier too.
 SIDQ_FORCE_ISA=scalar ctest --test-dir build --output-on-failure \
   --no-tests=error \
-  -R '^(Crc32cTest|Crc32cKernelTest|BlockFormatTest|ManifestTest|StoreTest|StoreCacheTest|StoreCrashTest)\.'
+  -R '^(Crc32cTest|Crc32cKernelTest|BlockFormatTest|ManifestTest|StoreTest|StoreCacheTest|StoreCrashTest|ProbRangeTest|KnnTest)\.'
 
 # Lint engine self-test against the fixture corpus (also a ctest, but run
 # explicitly so a broken linter is named here, not buried in a ctest list),

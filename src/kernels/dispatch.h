@@ -43,6 +43,9 @@ enum class Isa : uint8_t {
 
 inline constexpr int kIsaCount = 4;
 
+// Longest span one leaf_scan call accepts.
+inline constexpr size_t kLeafScanMaxCount = 256;
+
 const char* IsaName(Isa isa);
 
 // The per-primitive entry points one ISA tier provides. All functions have
@@ -68,7 +71,9 @@ struct KernelOps {
                          double* scratch);
   // Branch-free box-intersection sweep over columnar leaf arrays; writes
   // the ids of hits to `out` (capacity >= count) and returns the hit
-  // count. The emitted id sequence preserves leaf order for every tier.
+  // count. count <= kLeafScanMaxCount (the portable tiers stage a hit
+  // mask on the stack). The emitted id sequence preserves leaf order for
+  // every tier; an entry with a NaN coordinate never hits.
   size_t (*leaf_scan)(const double* min_x, const double* min_y,
                       const double* max_x, const double* max_y,
                       const uint64_t* ids, size_t count, double qmin_x,

@@ -6,6 +6,7 @@
 
 #include "geometry/bbox.h"
 #include "geometry/point.h"
+#include "kernels/dispatch.h"
 
 namespace sidq {
 namespace kernels {
@@ -62,7 +63,7 @@ class PackedRTree {
 
   // Hard cap on max_entries; bounds the fixed scratch buffers of the
   // vectorized leaf scan.
-  static constexpr size_t kMaxEntriesCap = 256;
+  static constexpr size_t kMaxEntriesCap = kLeafScanMaxCount;
 
   explicit PackedRTree(size_t max_entries = 16);
 

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <functional>
 #include <limits>
+#include <memory>
+#include <utility>
 
 #include "core/arena.h"
-#include "kernels/packed_rtree.h"
+#include "kernels/dispatch.h"
 
 namespace sidq {
 namespace query {
@@ -138,53 +140,55 @@ std::vector<std::vector<ObjectId>> ProbabilisticRangeQueryMany(
     const std::vector<geometry::BBox>& boxes, double tau,
     std::vector<PruningStats>* stats) {
   std::vector<std::vector<ObjectId>> out(boxes.size());
-  if (stats != nullptr) stats->assign(boxes.size(), PruningStats{});
-  if (boxes.empty()) return out;
-  // Bulk-load the bounding regions once, keyed by object index. An empty
-  // region (unreachable through the factories, but guarded: BulkLoad
-  // rejects inverted boxes) can intersect nothing, so leaving it out of
-  // the tree classifies it pruned_out exactly like the linear scan.
-  std::vector<geometry::BBox> regions(objects.size());
-  std::vector<kernels::PackedRTree::Item> items;
-  items.reserve(objects.size());
-  for (size_t i = 0; i < objects.size(); ++i) {
-    regions[i] = objects[i].BoundingRegion();
-    if (!regions[i].Empty()) items.push_back({i, regions[i]});
-  }
-  kernels::PackedRTree tree;
-  tree.BulkLoad(std::move(items));
-  // One shared walk answers every box; BBox::Intersects is symmetric, so
-  // the tree's region-vs-box test prunes exactly the objects the solo
-  // scan's region.Intersects(box) would.
-  const kernels::PackedRTree::BatchResults candidates =
-      tree.RangeQueryMany(boxes);
-  for (size_t q = 0; q < boxes.size(); ++q) {
-    PruningStats local;
-    local.total_objects = objects.size();
-    const size_t cand_count = candidates.count_of(q);
-    local.pruned_out = objects.size() - cand_count;
-    // The solo scan emits ids in object order; sort the tree's DFS-order
-    // candidates back to index order so the output is bit-identical.
-    ArenaScope scope(ScratchArena());
-    uint64_t* cand = scope.AllocArray<uint64_t>(cand_count);
-    if (cand_count > 0) {
-      std::memcpy(cand, candidates.begin_of(q),
-                  cand_count * sizeof(uint64_t));
+  std::vector<PruningStats> local(boxes.size());
+  for (PruningStats& s : local) s.total_objects = objects.size();
+  // Objects go by in chunks of one leaf_scan span: the chunk's bounding
+  // regions are mirrored into columns and every box sweeps them while they
+  // are hot in L1. Chunks run in object order and each sweep emits its
+  // hits in chunk order, so every box sees its candidates in the solo
+  // query's order.
+  constexpr size_t kChunk = kernels::kLeafScanMaxCount;
+  ArenaScope scope(ScratchArena());
+  double* min_x = scope.AllocArray<double>(kChunk);
+  double* min_y = scope.AllocArray<double>(kChunk);
+  double* max_x = scope.AllocArray<double>(kChunk);
+  double* max_y = scope.AllocArray<double>(kChunk);
+  uint64_t* index = scope.AllocArray<uint64_t>(kChunk);
+  uint64_t* hits = scope.AllocArray<uint64_t>(kChunk);
+  for (size_t j = 0; j < kChunk; ++j) index[j] = j;
+  const auto leaf_scan = kernels::KernelDispatch::Get().leaf_scan;
+  for (size_t c = 0; c < objects.size(); c += kChunk) {
+    const size_t len = std::min(kChunk, objects.size() - c);
+    for (size_t j = 0; j < len; ++j) {
+      const geometry::BBox region = objects[c + j].BoundingRegion();
+      min_x[j] = region.min_x;
+      min_y[j] = region.min_y;
+      max_x[j] = region.max_x;
+      max_y[j] = region.max_y;
     }
-    std::sort(cand, cand + cand_count);
-    for (size_t c = 0; c < cand_count; ++c) {
-      const size_t i = static_cast<size_t>(cand[c]);
-      const UncertainPoint& obj = objects[i];
-      if (boxes[q].Contains(regions[i]) && tau <= 1.0 - 1e-5) {
-        ++local.accepted_cheap;  // probability ~ 1
-        out[q].push_back(obj.id());
-        continue;
+    for (size_t q = 0; q < boxes.size(); ++q) {
+      const geometry::BBox& box = boxes[q];
+      // leaf_scan's predicate is region.Intersects(box) term for term, so
+      // a miss here is exactly a solo-query prune.
+      const size_t cnt = leaf_scan(min_x, min_y, max_x, max_y, index, len,
+                                   box.min_x, box.min_y, box.max_x,
+                                   box.max_y, hits);
+      local[q].pruned_out += len - cnt;
+      for (size_t h = 0; h < cnt; ++h) {
+        const size_t j = static_cast<size_t>(hits[h]);
+        const UncertainPoint& obj = objects[c + j];
+        const geometry::BBox region(min_x[j], min_y[j], max_x[j], max_y[j]);
+        if (box.Contains(region) && tau <= 1.0 - 1e-5) {
+          ++local[q].accepted_cheap;  // probability ~ 1
+          out[q].push_back(obj.id());
+          continue;
+        }
+        ++local[q].evaluated_exact;
+        if (obj.ProbInBox(box) >= tau) out[q].push_back(obj.id());
       }
-      ++local.evaluated_exact;
-      if (obj.ProbInBox(boxes[q]) >= tau) out[q].push_back(obj.id());
     }
-    if (stats != nullptr) (*stats)[q] = local;
   }
+  if (stats != nullptr) *stats = std::move(local);
   return out;
 }
 
@@ -197,19 +201,29 @@ std::vector<ObjectId> ExpectedDistanceKnn(
     if (stats != nullptr) *stats = local;
     return {};
   }
-  // Process in increasing lower-bound order so pruning kicks in early.
-  std::vector<std::pair<double, size_t>> order;
-  order.reserve(objects.size());
+  // Visit objects in increasing (lower bound, index) order so pruning
+  // kicks in early. A min-heap yields that order lazily: the walk stops at
+  // the first pruned object, typically after ~k pops, so the full
+  // O(n log n) sort is never paid. Pairs are distinct (unique index), so
+  // the pop sequence is exactly the sorted sequence, ties included.
+  ArenaScope scope(ScratchArena());
+  using Bound = std::pair<double, size_t>;
+  Bound* order = scope.AllocArray<Bound>(objects.size());
   for (size_t i = 0; i < objects.size(); ++i) {
-    order.emplace_back(objects[i].BoundingRegion().MinDistance(q), i);
+    std::construct_at(order + i, objects[i].BoundingRegion().MinDistance(q),
+                      i);
   }
-  std::sort(order.begin(), order.end());
+  Bound* heap_end = order + objects.size();
+  std::make_heap(order, heap_end, std::greater<>());
   // Max-heap of the best k (expected distance, id).
   std::vector<std::pair<double, ObjectId>> best;
-  for (const auto& [lower_bound, i] : order) {
+  while (heap_end != order) {
+    std::pop_heap(order, heap_end, std::greater<>());
+    const auto [lower_bound, i] = *--heap_end;
     if (best.size() == k && lower_bound >= best.front().first) {
-      ++local.pruned_out;
-      continue;  // every later object has an even larger lower bound
+      // Every remaining object has an even larger lower bound.
+      local.pruned_out += static_cast<size_t>(heap_end - order) + 1;
+      break;
     }
     ++local.evaluated_exact;
     const double ed = objects[i].ExpectedDistance(q);

@@ -78,22 +78,24 @@ std::vector<ObjectId> ProbabilisticRangeQuery(
     const std::vector<UncertainPoint>& objects, const geometry::BBox& box,
     double tau, PruningStats* stats = nullptr);
 
-// Batched form for a fleet of boxes: bulk-loads a packed R-tree over the
-// objects' bounding regions once and answers all boxes with ONE shared
-// tree walk (kernels::PackedRTree::RangeQueryMany), replacing B full
-// linear scans with B tree probes that share their traversal. Per box, the
-// returned ids and the stats are IDENTICAL to ProbabilisticRangeQuery on
-// that box -- candidates are re-ordered to object order before the exact
-// evaluation, and the pruning predicates are the same box tests.
-// `stats`, when non-null, is resized to one entry per box.
+// Batched form for a fleet of boxes: walks the objects once, in chunks of
+// kernels::kLeafScanMaxCount, mirroring each chunk's bounding regions into
+// columns that every box sweeps with the dispatched kernels leaf_scan (the
+// solo query's region-vs-box test, vectorized). Hits come out in object
+// order, so per box the returned ids and the stats are IDENTICAL to
+// ProbabilisticRangeQuery on that box, at every ISA tier. `stats`, when
+// non-null, is resized to one entry per box.
 std::vector<std::vector<ObjectId>> ProbabilisticRangeQueryMany(
     const std::vector<UncertainPoint>& objects,
     const std::vector<geometry::BBox>& boxes, double tau,
     std::vector<PruningStats>* stats = nullptr);
 
 // Expected-distance k-nearest-neighbours with lower-bound pruning: objects
-// whose bounding-region MinDistance exceeds the current k-th expected
-// distance are skipped without exact evaluation.
+// are visited in increasing (bounding-region MinDistance, index) order,
+// popped lazily from a min-heap, and the walk stops at the first object
+// whose lower bound reaches the current k-th expected distance; it and
+// every object not yet visited count as pruned_out without exact
+// evaluation. Ids come out in increasing expected distance.
 std::vector<ObjectId> ExpectedDistanceKnn(
     const std::vector<UncertainPoint>& objects, const geometry::Point& q,
     size_t k, PruningStats* stats = nullptr);

@@ -19,7 +19,7 @@ PinnedBlock& PinnedBlock::operator=(PinnedBlock&& other) noexcept {
 
 void PinnedBlock::Release() {
   if (cache_ != nullptr && block_ != nullptr) {
-    cache_->Unpin(key_);
+    cache_->Unpin(key_, block_.get());
   }
   cache_ = nullptr;
   block_.reset();
@@ -84,12 +84,14 @@ PinnedBlock BlockCache::Insert(uint32_t segment, uint64_t offset,
   return PinnedBlock(this, key, inserted->second.block);
 }
 
-void BlockCache::Unpin(uint64_t key) {
+void BlockCache::Unpin(uint64_t key, const ColumnarBlock* block) {
   MutexLock lock(mu_);
   auto it = table_.find(key);
   if (it == table_.end()) return;  // invalidated while pinned
   Entry& e = it->second;
-  if (e.pins == 0) return;  // stale handle from a removed+reinserted key
+  // A handle whose entry was erased and the key re-inserted pins a
+  // different block; its release must not unpin the new entry.
+  if (e.block.get() != block) return;
   if (--e.pins == 0) {
     e.lru_it = lru_.insert(lru_.end(), key);
     e.in_lru = true;

@@ -134,7 +134,9 @@ class BlockCache {
     std::list<uint64_t>::iterator lru_it;
   };
 
-  void Unpin(uint64_t key);
+  // Drops one pin of `key`'s entry if it still holds `block` (the block
+  // the releasing handle pinned).
+  void Unpin(uint64_t key, const ColumnarBlock* block);
   // Pins a resident entry, taking it off the LRU list.
   PinnedBlock PinLocked(uint64_t key, Entry& e) SIDQ_REQUIRES(mu_);
   // Evicts LRU entries until the unpinned bytes fit the budget.

@@ -672,7 +672,7 @@ Status Store::Close() {
 
 Status Store::ScanEntries(
     const std::vector<BlockEntry>& entries,
-    const std::function<void(uint64_t, const StRecord&)>& fn) const {
+    const std::function<void(uint64_t, const ColumnarBlock&)>& fn) const {
   // Every block flows through the bounded reader: a cache hit costs no
   // I/O, a miss reads exactly one block, and peak RSS is capped by the
   // cache budget plus the block under the cursor (which stays pinned for
@@ -688,22 +688,18 @@ Status Store::ScanEntries(
           SegmentFileName(entry.segment) + " failed verification mid-scan (" +
           BlockDefectName(defect) + "); reopen the store to recover");
     }
-    for (size_t i = 0; i < block->size(); ++i) {
-      fn(entry.row_start + i, block->Record(i));
-    }
+    fn(entry.row_start, *block);
   }
   return Status::OK();
 }
 
-Status Store::Scan(
-    const std::function<void(uint64_t, const StRecord&)>& fn) const {
+Status Store::ScanBlocks(
+    const std::function<void(uint64_t, const ColumnarBlock&)>& fn) const {
   // committed_ and pending_ are each row-ordered, and every pending row
   // id is greater than every committed one.
   SIDQ_RETURN_IF_ERROR(ScanEntries(committed_, fn));
   SIDQ_RETURN_IF_ERROR(ScanEntries(pending_, fn));
-  for (size_t i = 0; i < open_block_.size(); ++i) {
-    fn(open_row_start_ + i, open_block_.Record(i));
-  }
+  if (!open_block_.empty()) fn(open_row_start_, open_block_);
   return Status::OK();
 }
 

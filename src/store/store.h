@@ -144,8 +144,28 @@ class Store {
   [[nodiscard]] Status Compact(CompactionReport* report);
 
   // Calls `fn(row_id, record)` for every readable row in row-id order.
-  [[nodiscard]] Status Scan(
-      const std::function<void(uint64_t, const StRecord&)>& fn) const;
+  // The row loop is instantiated in the caller, so a lambda is called
+  // directly per row; the per-block work (pinning, verification, cache
+  // traffic) stays out of line in ScanBlocks. A std::function `fn` still
+  // works and keeps its own indirect call per row.
+  template <typename Fn>
+  [[nodiscard]] Status Scan(Fn&& fn) const {
+    return ScanBlocks([&fn](uint64_t first_row, const ColumnarBlock& block) {
+      for (size_t i = 0; i < block.size(); ++i) {
+        fn(first_row + i, block.Record(i));
+      }
+    });
+  }
+
+  // Calls `fn(first_row, block)` for every readable block in row-id
+  // order: committed blocks, then written-but-uncommitted ones, then the
+  // open in-memory block (skipped while empty). Row `i` of `block` has
+  // row id first_row + i; quarantined blocks are absent, leaving row-id
+  // gaps. Each cached block stays pinned while `fn` runs on it. A block
+  // that fails verification mid-scan ends the scan with DataLoss.
+  [[nodiscard]] Status ScanBlocks(
+      const std::function<void(uint64_t first_row, const ColumnarBlock&)>&
+          fn) const;
 
   [[nodiscard]] const RecoveryReport& recovery() const { return recovery_; }
   [[nodiscard]] uint64_t manifest_gen() const { return manifest_gen_; }
@@ -177,7 +197,7 @@ class Store {
   [[nodiscard]] uint32_t ComputeNumSegments() const;
   [[nodiscard]] Status ScanEntries(
       const std::vector<BlockEntry>& entries,
-      const std::function<void(uint64_t, const StRecord&)>& fn) const;
+      const std::function<void(uint64_t, const ColumnarBlock&)>& fn) const;
 
   Vfs* vfs_;
   std::string dir_;

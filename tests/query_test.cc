@@ -1,9 +1,14 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/random.h"
+#include "force_isa_guard.h"
+#include "kernels/dispatch.h"
 #include "query/continuous.h"
 #include "query/partition.h"
 #include "query/uncertain_point.h"
@@ -123,9 +128,9 @@ TEST(ProbRangeTest, EmptyBoxNoResults) {
       ProbabilisticRangeQuery(objects, BBox(), 0.5).empty());
 }
 
-// The batched form shares one R-tree walk across all boxes but must be
-// indistinguishable from running the solo query per box: identical id
-// sequences AND identical pruning statistics.
+// The batched form sweeps a columnar mirror of the bounding regions but
+// must be indistinguishable from running the solo query per box:
+// identical id sequences AND identical pruning statistics.
 TEST(ProbRangeTest, BatchedManyMatchesSoloPerBox) {
   const auto objects = RandomObjects(300, 2000.0, 20.0, 12);
   Rng rng(13);
@@ -152,6 +157,66 @@ TEST(ProbRangeTest, BatchedManyMatchesSoloPerBox) {
       EXPECT_EQ(batch_stats[q].pruned_out, solo_stats.pruned_out);
       EXPECT_EQ(batch_stats[q].accepted_cheap, solo_stats.accepted_cheap);
       EXPECT_EQ(batch_stats[q].evaluated_exact, solo_stats.evaluated_exact);
+    }
+  }
+}
+
+void ExpectSameStats(const PruningStats& got, const PruningStats& want) {
+  EXPECT_EQ(got.total_objects, want.total_objects);
+  EXPECT_EQ(got.pruned_out, want.pruned_out);
+  EXPECT_EQ(got.accepted_cheap, want.accepted_cheap);
+  EXPECT_EQ(got.evaluated_exact, want.evaluated_exact);
+}
+
+// The sweep runs the dispatched leaf_scan in chunks of kLeafScanMaxCount;
+// object counts on both sides of the chunk seam, a NaN-mean object (its
+// region compares false everywhere) and every ISA tier must all leave the
+// per-box answer equal to the solo query's.
+TEST(ProbRangeTest, BatchedSweepMatchesSoloAtEveryIsaTier) {
+  static_assert(kernels::kLeafScanMaxCount == 256);
+  kernels::ForceIsaGuard guard;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int t = 0; t < kernels::kIsaCount; ++t) {
+    const kernels::Isa isa = static_cast<kernels::Isa>(t);
+    if (!kernels::KernelDispatch::Available(isa)) continue;
+    guard.Force(kernels::IsaName(isa));
+    ASSERT_EQ(kernels::KernelDispatch::Active(), isa);
+    for (size_t n : {255, 256, 257, 1000}) {
+      auto objects = RandomObjects(n, 2000.0, 20.0, 40 + n);
+      const size_t nan_at = n / 2;
+      objects[nan_at] =
+          UncertainPoint::MakeGaussian(nan_at, Point(nan, nan), 20.0);
+      Rng rng(n);
+      std::vector<BBox> boxes;
+      for (int i = 0; i < 12; ++i) {
+        const double x = rng.Uniform(0, 1800), y = rng.Uniform(0, 1800);
+        boxes.emplace_back(x, y, x + rng.Uniform(10, 600),
+                           y + rng.Uniform(10, 600));
+      }
+      boxes.push_back(BBox());                   // empty box
+      boxes.emplace_back(-1e6, -1e6, 1e6, 1e6);  // contains everything
+      for (double tau : {0.1, 0.5, 1.0}) {
+        SCOPED_TRACE(testing::Message() << kernels::IsaName(isa) << " n=" << n
+                                        << " tau=" << tau);
+        std::vector<PruningStats> batch_stats;
+        const auto batch =
+            ProbabilisticRangeQueryMany(objects, boxes, tau, &batch_stats);
+        ASSERT_EQ(batch.size(), boxes.size());
+        ASSERT_EQ(batch_stats.size(), boxes.size());
+        for (size_t q = 0; q < boxes.size(); ++q) {
+          PruningStats solo_stats;
+          const auto solo =
+              ProbabilisticRangeQuery(objects, boxes[q], tau, &solo_stats);
+          EXPECT_EQ(batch[q], solo) << "box " << q;
+          ExpectSameStats(batch_stats[q], solo_stats);
+          EXPECT_EQ(std::count(batch[q].begin(), batch[q].end(), nan_at), 0)
+              << "box " << q;
+        }
+        // The empty box prunes everything; the all-containing box prunes
+        // exactly the NaN object, on both paths.
+        EXPECT_EQ(batch_stats[boxes.size() - 2].pruned_out, n);
+        EXPECT_EQ(batch_stats.back().pruned_out, 1u);
+      }
     }
   }
 }
@@ -183,6 +248,83 @@ TEST(KnnTest, MatchesExhaustiveRanking) {
   for (size_t i = 0; i < 10; ++i) want.push_back(all[i].second);
   EXPECT_EQ(got, want);
   EXPECT_GT(stats.pruned_out, 0u);
+}
+
+// The kNN walk as it was before the lazy heap: fully sort (lower bound,
+// index) and skip every object from the first prune on. The heap walk
+// must reproduce its ids and stats exactly.
+std::vector<ObjectId> FullSortKnn(const std::vector<UncertainPoint>& objects,
+                                  const Point& q, size_t k,
+                                  PruningStats* stats) {
+  PruningStats local;
+  local.total_objects = objects.size();
+  if (k == 0 || objects.empty()) {
+    *stats = local;
+    return {};
+  }
+  std::vector<std::pair<double, size_t>> order;
+  for (size_t i = 0; i < objects.size(); ++i) {
+    order.emplace_back(objects[i].BoundingRegion().MinDistance(q), i);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<std::pair<double, ObjectId>> best;
+  for (const auto& [lower_bound, i] : order) {
+    if (best.size() == k && lower_bound >= best.front().first) {
+      ++local.pruned_out;
+      continue;
+    }
+    ++local.evaluated_exact;
+    const double ed = objects[i].ExpectedDistance(q);
+    if (best.size() < k) {
+      best.emplace_back(ed, objects[i].id());
+      std::push_heap(best.begin(), best.end());
+    } else if (ed < best.front().first) {
+      std::pop_heap(best.begin(), best.end());
+      best.back() = {ed, objects[i].id()};
+      std::push_heap(best.begin(), best.end());
+    }
+  }
+  std::sort_heap(best.begin(), best.end());
+  std::vector<ObjectId> out;
+  for (const auto& [ed, id] : best) out.push_back(id);
+  *stats = local;
+  return out;
+}
+
+TEST(KnnTest, HeapWalkMatchesFullSortWalk) {
+  // Every grid point carries two objects with the same sigma and a few
+  // carry a third with a wider one, so lower bounds and expected
+  // distances tie constantly; one discrete-pdf object sits among them.
+  std::vector<UncertainPoint> objects;
+  ObjectId id = 0;
+  for (int gx = 0; gx < 10; ++gx) {
+    for (int gy = 0; gy < 10; ++gy) {
+      const Point p(10.0 * gx, 10.0 * gy);
+      objects.push_back(UncertainPoint::MakeGaussian(id++, p, 2.0));
+      objects.push_back(UncertainPoint::MakeGaussian(id++, p, 2.0));
+      if ((gx + gy) % 3 == 0) {
+        objects.push_back(UncertainPoint::MakeGaussian(id++, p, 5.0));
+      }
+    }
+  }
+  auto discrete = UncertainPoint::MakeDiscrete(
+      id++, {{Point(40, 40), 1.0}, {Point(50, 40), 1.0}, {Point(40, 60), 2.0}});
+  ASSERT_TRUE(discrete.ok());
+  objects.insert(objects.begin() + 37, *discrete);
+  const size_t n = objects.size();
+  for (const Point& q : {Point(45, 45), Point(0, 0), Point(40, 40),
+                         Point(-30, 200)}) {
+    for (size_t k : {size_t{0}, size_t{1}, size_t{10}, n, n + 5}) {
+      SCOPED_TRACE(testing::Message()
+                   << "q=(" << q.x << "," << q.y << ") k=" << k);
+      PruningStats got_stats, want_stats;
+      const auto got = ExpectedDistanceKnn(objects, q, k, &got_stats);
+      const auto want = FullSortKnn(objects, q, k, &want_stats);
+      EXPECT_EQ(got, want);
+      ExpectSameStats(got_stats, want_stats);
+      EXPECT_EQ(got.size(), std::min(k, n));
+    }
+  }
 }
 
 TEST(KnnTest, EdgeCases) {

@@ -88,10 +88,14 @@ ColumnarBlock MakeBlock(size_t rows, uint64_t salt) {
 // --- reference model -----------------------------------------------------
 //
 // Mirrors BlockCache semantics exactly: one table + LRU list of unpinned
-// keys, byte accounting, and the four counters.
+// keys, byte accounting, and the four counters. Each inserted entry gets a
+// fresh generation, and a pin is released against the generation it
+// pinned: a handle outliving its entry's invalidation must not unpin an
+// entry re-inserted under the same key.
 
 struct ModelEntry {
   size_t charge = 0;
+  uint64_t gen = 0;
   uint32_t pins = 0;
   bool in_lru = false;
   std::list<uint64_t>::iterator lru_it;
@@ -101,41 +105,49 @@ class CacheModel {
  public:
   explicit CacheModel(size_t capacity) : capacity_(capacity) {}
 
-  void Lookup(uint64_t key, bool hit_expected_to_pin) {
+  // Returns the generation pinned (0 on a miss).
+  uint64_t Lookup(uint64_t key, bool hit_expected_to_pin) {
     auto it = table_.find(key);
     if (it == table_.end()) {
       ++stats_.misses;
-      return;
+      return 0;
     }
     ++stats_.hits;
+    const uint64_t gen = it->second.gen;
     Pin(it->second);
-    if (!hit_expected_to_pin) Unpin(key);
+    if (!hit_expected_to_pin) Unpin(key, gen);
+    return gen;
   }
 
   // A pinned key is always resident.
   bool Resident(uint64_t key) const { return table_.count(key) != 0; }
 
-  void Insert(uint64_t key, size_t charge, bool keep_pin) {
+  // Returns the generation pinned.
+  uint64_t Insert(uint64_t key, size_t charge, bool keep_pin) {
     auto it = table_.find(key);
+    uint64_t gen;
     if (it != table_.end()) {
+      gen = it->second.gen;
       Pin(it->second);
     } else {
       ModelEntry e;
       e.charge = charge;
+      e.gen = gen = ++next_gen_;
       e.pins = 1;
       stats_.resident_bytes += charge;
       ++stats_.inserts;
       table_.emplace(key, e);
       Evict();
     }
-    if (!keep_pin) Unpin(key);
+    if (!keep_pin) Unpin(key, gen);
+    return gen;
   }
 
-  void Unpin(uint64_t key) {
+  void Unpin(uint64_t key, uint64_t gen) {
     auto it = table_.find(key);
     if (it == table_.end()) return;  // invalidated while pinned
     ModelEntry& e = it->second;
-    if (e.pins == 0) return;
+    if (e.gen != gen) return;  // invalidated, then the key re-inserted
     if (--e.pins == 0) {
       e.lru_it = lru_.insert(lru_.end(), key);
       e.in_lru = true;
@@ -198,6 +210,7 @@ class CacheModel {
   }
 
   size_t capacity_;
+  uint64_t next_gen_ = 0;
   std::map<uint64_t, ModelEntry> table_;
   std::list<uint64_t> lru_;  // front = next victim; unpinned keys only
   // Counters and byte totals; the block counts are derived in Stats().
@@ -221,9 +234,14 @@ void RunModelWorkout(size_t capacity_bytes, uint64_t seed, int ops) {
   BlockCache cache(capacity_bytes, &metrics);
   CacheModel model(capacity_bytes);
 
-  // Held pins: (key, rows, handle). Blocks of 1..8 rows over a small key
-  // space force constant collision/eviction traffic.
-  std::vector<std::pair<uint64_t, PinnedBlock>> held;
+  // Held pins. Blocks of 1..8 rows over a small key space force constant
+  // collision/eviction traffic.
+  struct Held {
+    uint64_t key;
+    uint64_t gen;  // model generation the handle pinned
+    PinnedBlock pin;
+  };
+  std::vector<Held> held;
   uint64_t state = seed;
   for (int op = 0; op < ops; ++op) {
     const uint64_t r = SplitMix64(&state);
@@ -239,9 +257,10 @@ void RunModelWorkout(size_t capacity_bytes, uint64_t seed, int ops) {
         const bool expect_hit = model.Resident(key);
         PinnedBlock pin = cache.Lookup(segment, offset);
         EXPECT_EQ(static_cast<bool>(pin), expect_hit) << "op " << op;
-        model.Lookup(key, /*hit_expected_to_pin=*/expect_hit && keep);
+        const uint64_t gen =
+            model.Lookup(key, /*hit_expected_to_pin=*/expect_hit && keep);
         if (pin && keep) {
-          held.emplace_back(key, std::move(pin));
+          held.push_back({key, gen, std::move(pin)});
         }
         // else: pin destructs here -> model already unpinned above
         break;
@@ -252,17 +271,19 @@ void RunModelWorkout(size_t capacity_bytes, uint64_t seed, int ops) {
       case 6: {  // Insert
         PinnedBlock pin = cache.Insert(segment, offset, MakeBlock(rows, r));
         ASSERT_TRUE(pin) << "op " << op;
-        model.Insert(key, BlockCache::ChargeOf(rows), keep);
-        if (keep) held.emplace_back(key, std::move(pin));
+        const uint64_t gen =
+            model.Insert(key, BlockCache::ChargeOf(rows), keep);
+        if (keep) held.push_back({key, gen, std::move(pin)});
         break;
       }
       case 7: {  // Release a held pin
         if (!held.empty()) {
           const size_t victim = (r >> 40) % held.size();
-          const uint64_t k = held[victim].first;
-          held[victim].second.Release();
+          const uint64_t k = held[victim].key;
+          const uint64_t gen = held[victim].gen;
+          held[victim].pin.Release();
           held.erase(held.begin() + static_cast<ptrdiff_t>(victim));
-          model.Unpin(k);
+          model.Unpin(k, gen);
         }
         break;
       }
@@ -291,14 +312,14 @@ void RunModelWorkout(size_t capacity_bytes, uint64_t seed, int ops) {
     }
     // Pinned entries are never evicted: every held pin's block is alive
     // and, unless explicitly invalidated, resident.
-    for (const auto& [k, pin] : held) {
-      ASSERT_TRUE(pin.get() != nullptr) << "op " << op;
-      ASSERT_GE(pin->size(), 1u) << "op " << op;  // touch it: ASan-visible
-      EXPECT_EQ(model.Resident(k),
-                static_cast<bool>(cache.Lookup(BlockCache::SegmentOf(k),
-                                               k & ((1ull << 40) - 1))))
+    for (const Held& h : held) {
+      ASSERT_TRUE(h.pin.get() != nullptr) << "op " << op;
+      ASSERT_GE(h.pin->size(), 1u) << "op " << op;  // touch it: ASan-visible
+      EXPECT_EQ(model.Resident(h.key),
+                static_cast<bool>(cache.Lookup(BlockCache::SegmentOf(h.key),
+                                               h.key & ((1ull << 40) - 1))))
           << "op " << op;
-      model.Lookup(k, false);  // mirror the probe lookup just issued
+      model.Lookup(h.key, false);  // mirror the probe lookup just issued
     }
     if (testing::Test::HasFatalFailure() ||
         testing::Test::HasNonfatalFailure()) {
@@ -349,6 +370,31 @@ TEST(StoreCacheTest, PinnedBlockSurvivesInvalidation) {
   const BlockCache::Stats s = cache.GetStats();
   EXPECT_EQ(s.resident_blocks, 0u);
   EXPECT_EQ(s.resident_bytes, 0u);
+}
+
+// A handle that outlived its entry's invalidation must not unpin the
+// entry later re-inserted under the same key: B's entry stays pinned and
+// resident even under a 1-byte budget.
+TEST(StoreCacheTest, StaleReleaseDoesNotUnpinReinsertedEntry) {
+  BlockCache cache(1, nullptr);
+  PinnedBlock a = cache.Insert(0, 0, MakeBlock(4, 1));
+  ASSERT_TRUE(a);
+  cache.EraseSegment(0);
+  PinnedBlock b = cache.Insert(0, 0, MakeBlock(4, 2));
+  ASSERT_TRUE(b);
+  a.Release();
+  BlockCache::Stats s = cache.GetStats();
+  EXPECT_EQ(s.pinned_blocks, 1u);
+  EXPECT_EQ(s.evictions, 0u);
+  EXPECT_EQ(s.resident_blocks, 1u);
+  EXPECT_EQ(b->size(), 4u);
+  // B's own release is the one that unpins it; the 1-byte budget then
+  // evicts it.
+  b.Release();
+  s = cache.GetStats();
+  EXPECT_EQ(s.pinned_blocks, 0u);
+  EXPECT_EQ(s.evictions, 1u);
+  EXPECT_EQ(s.resident_blocks, 0u);
 }
 
 // --- fixed-budget scan differential --------------------------------------

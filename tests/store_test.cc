@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -795,6 +796,78 @@ TEST(StoreTest, CorruptInteriorBlockIsQuarantinedWithReason) {
   ASSERT_EQ((*again)->recovery().quarantined.size(), 1u);
   EXPECT_EQ((*again)->recovery().quarantined[0].defect, BlockDefect::kBadCrc);
   EXPECT_EQ((*again)->rows_readable(), 24u);
+}
+
+// Scan's row loop is a template over ScanBlocks: its rows and row ids are
+// exactly the concatenation of the blocks ScanBlocks hands out, across
+// committed blocks with a quarantine gap, pending blocks and the open
+// block, whether `fn` is a lambda or a std::function.
+TEST(StoreTest, ScanRowsEqualScanBlocksConcatenation) {
+  MemVfs vfs;
+  {
+    StatusOr<std::unique_ptr<Store>> opened =
+        Store::Open(&vfs, "db", SmallBlocks());
+    ASSERT_TRUE(opened.ok());
+    for (uint64_t i = 0; i < 32; ++i) {
+      ASSERT_TRUE((*opened)->Append(MakeRecord(i)).ok());
+    }
+    ASSERT_TRUE((*opened)->Close().ok());
+  }
+  // Quarantine the second block (rows 8..15), as in the test above.
+  const StatusOr<std::string> seg = vfs.ReadFile("db/000000.seg");
+  ASSERT_TRUE(seg.ok());
+  const ParsedBlock first = ParseBlockAt(*seg, 0);
+  ASSERT_EQ(first.defect, BlockDefect::kNone);
+  ASSERT_TRUE(
+      vfs.CorruptByte("db/000000.seg", first.bytes_consumed + 20, 0x10).ok());
+  StatusOr<std::unique_ptr<Store>> reopened =
+      Store::Open(&vfs, "db", SmallBlocks());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  Store& store = **reopened;
+  ASSERT_EQ(store.recovery().quarantined.size(), 1u);
+  // Rows 32..47 seal two pending blocks; rows 48..51 stay in the open one.
+  for (uint64_t i = 32; i < 52; ++i) {
+    ASSERT_TRUE(store.Append(MakeRecord(i)).ok());
+  }
+
+  std::vector<std::pair<uint64_t, size_t>> blocks;  // (first_row, rows)
+  std::vector<std::pair<uint64_t, StRecord>> from_blocks;
+  ASSERT_TRUE(store
+                  .ScanBlocks([&](uint64_t first_row,
+                                  const ColumnarBlock& block) {
+                    blocks.emplace_back(first_row, block.size());
+                    for (size_t i = 0; i < block.size(); ++i) {
+                      from_blocks.emplace_back(first_row + i,
+                                               block.Record(i));
+                    }
+                  })
+                  .ok());
+  const std::vector<std::pair<uint64_t, size_t>> want_blocks = {
+      {0, 8}, {16, 8}, {24, 8}, {32, 8}, {40, 8}, {48, 4}};
+  EXPECT_EQ(blocks, want_blocks);
+  ASSERT_EQ(from_blocks.size(), 44u);
+
+  std::vector<std::pair<uint64_t, StRecord>> from_lambda;
+  ASSERT_TRUE(store
+                  .Scan([&](uint64_t row, const StRecord& rec) {
+                    from_lambda.emplace_back(row, rec);
+                  })
+                  .ok());
+  std::vector<std::pair<uint64_t, StRecord>> from_function;
+  const std::function<void(uint64_t, const StRecord&)> fn =
+      [&](uint64_t row, const StRecord& rec) {
+        from_function.emplace_back(row, rec);
+      };
+  ASSERT_TRUE(store.Scan(fn).ok());
+
+  for (const auto* rows : {&from_lambda, &from_function}) {
+    ASSERT_EQ(rows->size(), from_blocks.size());
+    for (size_t i = 0; i < rows->size(); ++i) {
+      EXPECT_EQ((*rows)[i].first, from_blocks[i].first) << i;
+      ExpectBitIdentical((*rows)[i].second, from_blocks[i].second);
+      ExpectBitIdentical((*rows)[i].second, MakeRecord((*rows)[i].first));
+    }
+  }
 }
 
 TEST(StoreTest, TornTailIsTruncatedAndReopenIsIdempotent) {
