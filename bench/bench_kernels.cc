@@ -1,22 +1,17 @@
 // BENCH kernels: columnar kernel layer vs. scalar AoS reference.
 //
-// Times each kernel primitive against the scalar reference implementation
-// it replaced (kernels/scalar_ref.cc, compiled with auto-vectorization
-// disabled) on a fleet-scale workload, and checks BIT-IDENTITY of every
-// output via FNV-1a checksums over the raw double bit patterns: the kernel
-// layer is only allowed to be faster, never different. A checksum mismatch
-// is a hard failure (exit 1), so this bench doubles as the cross-layer
-// equivalence gate. scripts/bench_json.py scrapes the BENCH_JSON line into
-// BENCH_kernels.json.
+// Times each kernel primitive row against the scalar reference
+// implementation it replaced (kernels/scalar_ref.cc, compiled with
+// auto-vectorization disabled) on a fleet-scale workload, and checks
+// BIT-IDENTITY of every output via FNV-1a checksums over the raw double
+// bit patterns: the kernel layer is only allowed to be faster, never
+// different. A checksum mismatch is a hard failure (exit 1), so this bench
+// doubles as the cross-layer equivalence gate. scripts/bench_json.py
+// scrapes the BENCH_JSON line into BENCH_kernels.json.
 //
 // Primitives:
-//   pairwise     all-pairs squared distances (the EDR/LCSS/Frechet inner
-//                pattern) -- embarrassingly vectorizable, the headline win
 //   frechet_row  full discrete Frechet through the dispatched
 //                anti-diagonal wavefront (kernels::FrechetFullKernel)
-//   packed_range batched range queries over per-segment boxes on
-//                kernels::PackedRTree vs. per-query
-//                index::RTree::RangeQuery
 //
 // Pass --quick to cut repetitions (CI smoke). Pass --checksums-out FILE to
 // additionally write one "<primitive> <checksum>" line per primitive:
@@ -25,7 +20,6 @@
 // in-process scalar-vs-kernel gate. The BENCH_JSON line records which ISA
 // tier the dispatcher resolved ("isa").
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -39,10 +33,7 @@
 #include "core/random.h"
 #include "core/trajectory.h"
 #include "core/vfs.h"
-#include "index/rtree.h"
 #include "kernels/dispatch.h"
-#include "kernels/distance.h"
-#include "kernels/packed_rtree.h"
 #include "kernels/scalar_ref.h"
 #include "kernels/soa.h"
 #include "query/similarity.h"
@@ -106,39 +97,6 @@ struct PrimitiveResult {
 
 // ------------------------------------------------------------- primitives
 
-PrimitiveResult BenchPairwise(const std::vector<Trajectory>& fleet,
-                              size_t pairs) {
-  PrimitiveResult r{"pairwise"};
-  std::vector<double> out(kPointsEach * kPointsEach);
-  Checksum scalar_sum, kernel_sum;
-
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t p = 0; p < pairs; ++p) {
-    const Trajectory& a = fleet[p % fleet.size()];
-    const Trajectory& b = fleet[(p * 7 + 1) % fleet.size()];
-    kernels::scalar::PairwiseSqDist(a, b, out.data());
-    scalar_sum.MixDouble(out[p % out.size()]);
-  }
-  r.scalar_s = SecondsSince(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  for (size_t p = 0; p < pairs; ++p) {
-    const Trajectory& a = fleet[p % fleet.size()];
-    const Trajectory& b = fleet[(p * 7 + 1) % fleet.size()];
-    const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
-    const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
-    kernels::PairwiseSqDist(va.x(), va.y(), va.size(), vb.x(), vb.y(),
-                            vb.size(), out.data());
-    kernel_sum.MixDouble(out[p % out.size()]);
-  }
-  r.kernel_s = SecondsSince(t0);
-
-  r.speedup = r.scalar_s / r.kernel_s;
-  r.checksum = kernel_sum.h;
-  r.identical = scalar_sum.h == kernel_sum.h;
-  return r;
-}
-
 PrimitiveResult BenchFrechet(const std::vector<Trajectory>& fleet,
                              size_t pairs) {
   PrimitiveResult r{"frechet_row"};
@@ -159,73 +117,6 @@ PrimitiveResult BenchFrechet(const std::vector<Trajectory>& fleet,
     kernel_sum.MixDouble(query::DiscreteFrechetDistance(a, b));
   }
   r.kernel_s = SecondsSince(t0);
-
-  r.speedup = r.scalar_s / r.kernel_s;
-  r.checksum = kernel_sum.h;
-  r.identical = scalar_sum.h == kernel_sum.h;
-  return r;
-}
-
-PrimitiveResult BenchPackedRange(const std::vector<Trajectory>& fleet,
-                                 size_t rounds) {
-  PrimitiveResult r{"packed_range"};
-  // Index every trajectory SEGMENT box (fleet_size * (points - 1) items)
-  // and run the map-matching candidate-fetch pattern: one small box
-  // (+-75 m) around every 4th sample point. Many small queries over an
-  // out-of-cache tree is where layout and batching matter -- contiguous
-  // level-order node arrays, one amortized result buffer instead of a
-  // per-query allocation, and the contains-whole-subtree linear emit.
-  std::vector<index::RTree::Item> base_items;
-  std::vector<kernels::PackedRTree::Item> packed_items;
-  std::vector<geometry::BBox> queries;
-  for (size_t i = 0; i < fleet.size(); ++i) {
-    const auto& pts = fleet[i].points();
-    for (size_t k = 0; k + 1 < pts.size(); ++k) {
-      const geometry::BBox box(pts[k].p, pts[k + 1].p);
-      const uint64_t id = i * kPointsEach + k;
-      base_items.push_back({id, box});
-      packed_items.push_back({id, box});
-    }
-    for (size_t k = 0; k < pts.size(); k += 4) {
-      queries.push_back(geometry::BBox(pts[k].p, pts[k].p).Expanded(75.0));
-    }
-  }
-  index::RTree baseline;
-  baseline.BulkLoad(base_items);
-  // Wide leaves: the SIMD leaf sweep makes 64-entry leaves cheaper than
-  // deeper traversal, which a branchy AoS scan cannot afford.
-  kernels::PackedRTree packed(64);
-  packed.BulkLoad(packed_items);
-
-  // Time pure query work; checksum afterwards. Result sets are
-  // order-insensitive between the two trees, so checksum sorted ids.
-  std::vector<std::vector<uint64_t>> base_results(queries.size());
-  kernels::PackedRTree::BatchResults batch;
-
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t round = 0; round < rounds; ++round) {
-    for (size_t q = 0; q < queries.size(); ++q) {
-      base_results[q] = baseline.RangeQuery(queries[q]);
-    }
-  }
-  r.scalar_s = SecondsSince(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  for (size_t round = 0; round < rounds; ++round) {
-    packed.RangeQueryMany(queries, &batch);
-  }
-  r.kernel_s = SecondsSince(t0);
-
-  Checksum scalar_sum, kernel_sum;
-  std::vector<uint64_t> ids;
-  for (size_t q = 0; q < queries.size(); ++q) {
-    ids = base_results[q];
-    std::sort(ids.begin(), ids.end());
-    for (uint64_t id : ids) scalar_sum.Mix(id);
-    ids.assign(batch.begin_of(q), batch.end_of(q));
-    std::sort(ids.begin(), ids.end());
-    for (uint64_t id : ids) kernel_sum.Mix(id);
-  }
 
   r.speedup = r.scalar_s / r.kernel_s;
   r.checksum = kernel_sum.h;
@@ -284,9 +175,7 @@ int main(int argc, char** argv) {
 
   const size_t mul = quick ? 1 : 10;
   std::vector<PrimitiveResult> results;
-  results.push_back(BenchPairwise(fleet, 400 * mul));
   results.push_back(BenchFrechet(fleet, 100 * mul));
-  results.push_back(BenchPackedRange(fleet, 2 * mul));
 
   bench::Table table(
       {"primitive", "scalar_s", "kernel_s", "speedup", "bit-identical"});

@@ -14,7 +14,10 @@ A metric that moved in the bad direction by more than --tolerance
 never shifts its neighbours onto the wrong baseline; other lists pair by
 index. Structural drift (a metric or named row present on one side only,
 list length changes) is reported but tolerated: benches grow new rows;
-they must not silently lose performance.
+they must not silently lose performance. The one exception is a row with
+a speedup floor (below): present in the baseline but missing from the
+new document, it is a FLOOR failure, since dropping the row would
+otherwise drop its floor check with it.
 
 --ratios-only restricts the check to ratio and slowdown keys (both are
 machine-independent quotients of two same-machine timings, so they stay
@@ -56,14 +59,11 @@ SLOWDOWN_KEYS = {"obs_slowdown", "scan_slowdown_vs_ram",
 SKIP_KEYS = {"recorded_utc"}
 
 # Absolute speedup floors per kernel primitive (dispatched kernel vs the
-# scalar reference, same machine, same run). pairwise and packed_range are
-# the vectorization/batching headline wins. frechet_row runs the
+# scalar reference, same machine, same run). frechet_row runs the
 # anti-diagonal wavefront (frechet_full), which breaks the row form's
 # loop-carried DP recurrence; its floor catches a silent fallback to the
 # row-serial form (~1.0x).
 SPEEDUP_FLOORS = {
-    "pairwise": 3.5,
-    "packed_range": 2.5,
     "frechet_row": 1.3,
 }
 
@@ -135,6 +135,20 @@ def floor_violations(doc, grace, out, path=""):
             floor_violations(item, grace, out, f"{path}[{i}]")
 
 
+def primitive_names(doc, out):
+    """Adds the "primitive" name of every kernel-bench row in `doc`, at any
+    nesting depth, to the set `out`."""
+    if isinstance(doc, dict):
+        if isinstance(doc.get("primitive"), str):
+            out.add(doc["primitive"])
+        for val in doc.values():
+            primitive_names(val, out)
+    elif isinstance(doc, list):
+        for item in doc:
+            primitive_names(item, out)
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline", help="recorded baseline BENCH_*.json")
@@ -190,6 +204,12 @@ def main():
     floor_violations(docs[0], args.floor_grace, floors, "baseline")
     if not args.ratios_only:
         floor_violations(docs[1], args.floor_grace, floors, "new")
+    dropped = (primitive_names(docs[0], set()) -
+               primitive_names(docs[1], set()))
+    for name in sorted(dropped & set(SPEEDUP_FLOORS)):
+        floors.append(f"new: floored primitive '{name}' is in the baseline "
+                      f"but missing, so its floor "
+                      f"{SPEEDUP_FLOORS[name]:g} goes unchecked")
 
     if regressions or floors:
         for line in regressions:

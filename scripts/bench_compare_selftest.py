@@ -8,6 +8,8 @@ Runs the comparator on small synthetic artifacts and checks its verdict
     middle row is drift, not a regression of every later row against its
     predecessor's baseline; reordering rows changes nothing; a named row
     that regressed is still caught;
+  - dropping a row that has a speedup floor is a FLOOR failure, with or
+    without --ratios-only;
   - lists without names keep pairing by index.
 
 Registered as the tier-1 `bench_compare_selftest` ctest.
@@ -30,7 +32,8 @@ def rows(*pairs):
 
 BASELINE = rows(("dist_row", 2.0), ("leaf_scan", 6.0), ("consecutive", 1.5))
 
-# (name, baseline, new, expected exit code, text the output must contain)
+# (name, baseline, new, expected exit code, text the output must contain,
+#  optional list of extra bench_compare flags)
 CASES = [
     ("dropped middle row is drift",
      BASELINE, rows(("dist_row", 2.0), ("consecutive", 1.5)),
@@ -50,20 +53,28 @@ CASES = [
      {"rows": [{"seconds": 1.0}, {"seconds": 2.0}]},
      {"rows": [{"seconds": 1.0}, {"seconds": 3.0}]},
      1, "rows[1].seconds: 2 -> 3"),
+    ("dropped floored row fails its floor",
+     rows(("dist_row", 2.0), ("frechet_row", 1.8)), rows(("dist_row", 2.0)),
+     1, "FLOOR new: floored primitive 'frechet_row' is in the baseline"),
+    ("dropped floored row fails its floor under --ratios-only",
+     rows(("dist_row", 2.0), ("frechet_row", 1.8)), rows(("dist_row", 2.0)),
+     1, "FLOOR new: floored primitive 'frechet_row' is in the baseline",
+     ["--ratios-only"]),
 ]
 
 
 def main():
     failures = []
     with tempfile.TemporaryDirectory() as td:
-        for i, (name, base, new, want_rc, want_text) in enumerate(CASES):
+        for i, (name, base, new, want_rc, want_text, *flags) in \
+                enumerate(CASES):
             base_path = Path(td) / f"base{i}.json"
             new_path = Path(td) / f"new{i}.json"
             base_path.write_text(json.dumps(base), encoding="utf-8")
             new_path.write_text(json.dumps(new), encoding="utf-8")
             proc = subprocess.run(
                 [sys.executable, str(COMPARE), str(base_path),
-                 str(new_path)],
+                 str(new_path), *(flags[0] if flags else [])],
                 capture_output=True, text=True)
             output = proc.stdout + proc.stderr
             if proc.returncode != want_rc:

@@ -9,9 +9,10 @@
 namespace sidq {
 namespace index {
 
-// An R-tree over rectangles, bulk-loaded with Sort-Tile-Recursive (STR) and
-// supporting quadratic-split dynamic inserts. Used for indexing trajectory
-// segments, uncertainty regions, and sensor footprints.
+// A standalone dynamic R-tree over rectangles: Sort-Tile-Recursive (STR)
+// bulk load plus quadratic-split inserts. No library code calls it; it is
+// covered by index_test and edge_cases_test and timed by bench_micro. The
+// similarity search's read-only index is kernels::PackedRTree.
 class RTree {
  public:
   struct Item {

@@ -48,28 +48,25 @@ inline constexpr size_t kLeafScanMaxCount = 256;
 
 const char* IsaName(Isa isa);
 
-// The per-primitive entry points one ISA tier provides. All functions have
-// the exact semantics documented in distance.h / packed_rtree.h; `ops.isa`
-// records which tier the table belongs to.
+// The per-primitive entry points one ISA tier provides. The three distance
+// sweeps and frechet_full have the exact semantics of their distance.h
+// wrappers (DistRow, PointToManyDist, ConsecutiveDist, FrechetFullKernel);
+// leaf_scan has no wrapper and is documented here. `ops.isa` records which
+// tier the table belongs to.
 struct KernelOps {
-  void (*pairwise_sq_dist)(const double* ax, const double* ay, size_t n,
-                           const double* bx, const double* by, size_t m,
-                           double* out);
   void (*dist_row)(double qx, double qy, const double* bx, const double* by,
                    size_t lo, size_t hi, double* out);
   void (*point_to_many_dist)(double px, double py, const double* xs,
                              const double* ys, size_t n, double* out);
   void (*consecutive_dist)(const double* xs, const double* ys, size_t n,
                            double* out);
-  double (*point_to_polyline_dist)(double px, double py, const double* xs,
-                                   const double* ys, size_t n);
   // Full n x m discrete-Frechet DP via an anti-diagonal wavefront (cells
   // of one anti-diagonal are data-parallel); `scratch` holds 3*m doubles.
   // Bit-identical to iterating FrechetRowKernel (distance.h) over the rows.
   double (*frechet_full)(const double* ax, const double* ay, size_t n,
                          const double* bx, const double* by, size_t m,
                          double* scratch);
-  // Branch-free box-intersection sweep over columnar leaf arrays; writes
+  // Branch-free box-intersection sweep over columnar box arrays; writes
   // the ids of hits to `out` (capacity >= count) and returns the hit
   // count. count <= kLeafScanMaxCount (the portable tiers stage a hit
   // mask on the stack). The emitted id sequence preserves leaf order for

@@ -14,12 +14,6 @@ namespace kernels {
 // load, so the indirection adds one predictable call per batch -- noise
 // next to the loops it selects.
 
-void PairwiseSqDist(const double* ax, const double* ay, size_t n,
-                    const double* bx, const double* by, size_t m,
-                    double* out) {
-  KernelDispatch::Get().pairwise_sq_dist(ax, ay, n, bx, by, m, out);
-}
-
 void DistRow(double qx, double qy, const double* bx, const double* by,
              size_t lo, size_t hi, double* out) {
   KernelDispatch::Get().dist_row(qx, qy, bx, by, lo, hi, out);
@@ -33,11 +27,6 @@ void PointToManyDist(double px, double py, const double* xs, const double* ys,
 void ConsecutiveDist(const double* xs, const double* ys, size_t n,
                      double* out) {
   KernelDispatch::Get().consecutive_dist(xs, ys, n, out);
-}
-
-double PointToPolylineDist(double px, double py, const double* xs,
-                           const double* ys, size_t n) {
-  return KernelDispatch::Get().point_to_polyline_dist(px, py, xs, ys, n);
 }
 
 double FrechetFullKernel(const double* ax, const double* ay, size_t n,

@@ -27,12 +27,6 @@ namespace kernels {
 // column sample j is computed as dq = q - column[j] (matching
 // geometry::Distance(q, col) = (q - col).Norm()), except where noted.
 
-// out[i*m + j] = squared Euclidean distance between a-sample i and
-// b-sample j. `out` must hold n*m doubles.
-void PairwiseSqDist(const double* ax, const double* ay, size_t n,
-                    const double* bx, const double* by, size_t m,
-                    double* out);
-
 // out[j] = sqrt((qx-bx[j])^2 + (qy-by[j])^2) for j in [lo, hi).
 // Entries outside [lo, hi) are left untouched.
 void DistRow(double qx, double qy, const double* bx, const double* by,
@@ -47,12 +41,6 @@ void PointToManyDist(double px, double py, const double* xs, const double* ys,
 // i in [0, n-1). `out` must hold n-1 doubles; no-op when n < 2.
 void ConsecutiveDist(const double* xs, const double* ys, size_t n,
                      double* out);
-
-// Minimum distance from (px, py) to the polyline through the n column
-// samples. Returns the point distance for n == 1 and +infinity for n == 0.
-// Matches min over segments of geometry::PointSegmentDistance.
-double PointToPolylineDist(double px, double py, const double* xs,
-                           const double* ys, size_t n);
 
 // One row of the DTW dynamic program (columns of `b`, rows of `a`):
 // for 1-based DP columns j in [lo, hi],

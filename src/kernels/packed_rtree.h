@@ -1,12 +1,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <queue>
 #include <vector>
 
 #include "geometry/bbox.h"
-#include "geometry/point.h"
-#include "kernels/dispatch.h"
 
 namespace sidq {
 namespace kernels {
@@ -17,55 +16,17 @@ namespace kernels {
 // when either box is empty (inverted).
 double BoxGap(const geometry::BBox& a, const geometry::BBox& b);
 
-// A read-only, bulk-loaded R-tree packed into contiguous arrays: the
+// A read-only, STR-bulk-loaded R-tree packed into contiguous arrays: the
 // items in leaf order and the nodes in level order (all leaves first,
-// root last). Compared to index::RTree this trades dynamic inserts for
-// pointer-free traversal over dense arrays -- child ranges are [begin, end)
-// index spans, and batched query entry points amortize the traversal stack
-// and result buffers across a whole query set. Leaf boxes are additionally
-// stored COLUMNAR (min_x/min_y/max_x/max_y in separate arrays mirroring
-// leaf order, ~40 extra bytes per item) so the per-leaf intersection test
-// is a branch-free SIMD sweep instead of a branchy AoS scan; because the
-// packing is level-by-level, every subtree's items are one contiguous run,
-// so a query that CONTAINS a node's box emits the whole span with a single
-// linear copy. Wide leaves (max_entries 32..64) are cheap under the
-// vectorized scan and cut traversal overhead for range workloads; the
-// default 16 matches index::RTree fanout. Drop-in alternative for
-// read-mostly workloads; returns the same result SETS as index::RTree
-// (enumeration order may differ, except Knn which is distance-ordered in
-// both).
+// root last), with child ranges stored as [begin, end) index spans
+// instead of pointers. Its one reader is BoxGapScan below, which the
+// trajectory similarity search uses to stream candidates gap-ascending.
 class PackedRTree {
  public:
   struct Item {
     uint64_t id;
     geometry::BBox box;
   };
-
-  // Concatenated per-query results: ids of query q live at
-  // [offsets[q], offsets[q+1]) in `ids`.
-  struct BatchResults {
-    std::vector<uint64_t> ids;
-    std::vector<size_t> offsets;
-
-    [[nodiscard]] size_t queries() const {
-      return offsets.empty() ? 0 : offsets.size() - 1;
-    }
-    [[nodiscard]] const uint64_t* begin_of(size_t q) const {
-      return ids.data() + offsets[q];
-    }
-    [[nodiscard]] const uint64_t* end_of(size_t q) const {
-      return ids.data() + offsets[q + 1];
-    }
-    [[nodiscard]] size_t count_of(size_t q) const {
-      return offsets[q + 1] - offsets[q];
-    }
-  };
-
-  // Hard cap on max_entries; bounds the fixed scratch buffers of the
-  // vectorized leaf scan.
-  static constexpr size_t kMaxEntriesCap = kLeafScanMaxCount;
-
-  explicit PackedRTree(size_t max_entries = 16);
 
   // Bulk-loads (replaces) the tree contents with STR packing. Item boxes
   // must be non-empty: an inverted box has a NaN center, which would
@@ -74,59 +35,19 @@ class PackedRTree {
 
   [[nodiscard]] size_t size() const { return items_.size(); }
   [[nodiscard]] bool empty() const { return items_.empty(); }
-  [[nodiscard]] int height() const { return height_; }
-
-  // Ids of items whose box intersects `query` (same set as
-  // index::RTree::RangeQuery).
-  [[nodiscard]] std::vector<uint64_t> RangeQuery(
-      const geometry::BBox& query) const;
-  // Batched range query over a SHARED tree walk: one DFS visits each node
-  // at most once carrying the subset of queries still active there, so a
-  // fleet of probes pays one pass over the node array instead of one
-  // root-to-leaf traversal each. Traversal state (frames, active-query
-  // subsets, emission runs) lives in the thread-local scratch arena --
-  // zero heap allocations beyond the caller-visible result buffers.
-  // Contract: for every query q, the id sequence [begin_of(q), end_of(q))
-  // is IDENTICAL to what RangeQuery(queries[q]) returns -- the shared walk
-  // restricted to q pops q's nodes in exactly the solo DFS order.
-  [[nodiscard]] BatchResults RangeQueryMany(
-      const std::vector<geometry::BBox>& queries) const;
-  // Same, into caller-owned buffers (cleared, capacity kept) so repeated
-  // batches reuse their result allocations.
-  void RangeQueryMany(const std::vector<geometry::BBox>& queries,
-                      BatchResults* res) const;
-
-  // Ids of the k items nearest to `q` by box MinDistance, nearest first.
-  [[nodiscard]] std::vector<uint64_t> Knn(const geometry::Point& q,
-                                          size_t k) const;
-  // Batched k-nearest-neighbour queries. The best-first frontier heap is
-  // arena-backed and reused across the whole batch (heap ops replicate
-  // std::priority_queue push/pop exactly, so per-query output -- including
-  // tie resolution -- is identical to Knn).
-  [[nodiscard]] BatchResults KnnMany(const std::vector<geometry::Point>& qs,
-                                     size_t k) const;
-
-  // Items in leaf order (for tests / bulk consumers).
-  [[nodiscard]] const std::vector<Item>& items() const { return items_; }
-
-  // Number of nodes visited by the last RangeQuery / Knn on this thread's
-  // call (pruning statistics; mirrors index::RTree).
-  mutable size_t last_nodes_visited = 0;
 
  private:
   friend class BoxGapScan;
 
+  // Entries per node, leaves and internal nodes alike (index::RTree's
+  // fanout).
+  static constexpr size_t kMaxEntries = 16;
+
   // begin/end index into items_ (leaf nodes) or nodes_ (internal nodes).
-  // item_begin/item_end always span the node's descendant items: because
-  // packing is level-by-level over consecutive children, every subtree's
-  // items form one contiguous run of items_ -- which is what makes the
-  // contains-whole-subtree fast path in RangeQuery a linear copy.
   struct Node {
     geometry::BBox box;
     uint32_t begin = 0;
     uint32_t end = 0;
-    uint32_t item_begin = 0;
-    uint32_t item_end = 0;
   };
 
   [[nodiscard]] bool IsLeaf(size_t node) const { return node < leaf_count_; }
@@ -134,30 +55,9 @@ class PackedRTree {
     return nodes_.empty() ? -1 : static_cast<int32_t>(nodes_.size()) - 1;
   }
 
-  // Appends the ids of this leaf's items intersecting `query` to `out`
-  // (dispatched SIMD sweep over the columnar leaf arrays).
-  void ScanLeaf(const Node& node, const geometry::BBox& query,
-                std::vector<uint64_t>* out) const;
-  // Same sweep into a raw buffer (capacity >= node entry count); returns
-  // the hit count. The shared-walk batch traversal writes arena scratch.
-  size_t ScanLeafInto(const Node& node, const geometry::BBox& query,
-                      uint64_t* out) const;
-
-  size_t max_entries_;
   size_t leaf_count_ = 0;
-  int height_ = 0;
   std::vector<Item> items_;  // leaf order
   std::vector<Node> nodes_;  // level order: leaves first, root last
-  // Columnar mirror of items_ (same order): leaf scans read these.
-  std::vector<double> leaf_min_x_, leaf_min_y_, leaf_max_x_, leaf_max_y_;
-  std::vector<uint64_t> leaf_ids_;
-  // Columnar mirror of nodes_' boxes (same level order) plus an identity
-  // index column: the shared-walk batch traversal partitions a node's
-  // active query set by running the SIMD leaf-scan kernel over the node's
-  // contiguous CHILD span of these arrays -- one 8-wide sweep per query
-  // instead of a scalar test per (child, query) pair.
-  std::vector<double> node_min_x_, node_min_y_, node_max_x_, node_max_y_;
-  std::vector<uint64_t> node_index_;
 };
 
 // Streams the items of a PackedRTree in non-decreasing BoxGap order from a

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "geometry/point.h"
-#include "geometry/segment.h"
 
 namespace sidq {
 namespace kernels {
@@ -107,27 +106,6 @@ double LcssSimilarity(const Trajectory& a, const Trajectory& b,
     std::swap(prev, cur);
   }
   return prev[m] / static_cast<double>(std::min(n, m));
-}
-
-void PairwiseSqDist(const Trajectory& a, const Trajectory& b, double* out) {
-  const size_t m = b.size();
-  for (size_t i = 0; i < a.size(); ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      out[i * m + j] = geometry::DistanceSq(a[i].p, b[j].p);
-    }
-  }
-}
-
-double PointToPolylineDist(const geometry::Point& p, const Trajectory& tr) {
-  const size_t n = tr.size();
-  if (n == 0) return kInf;
-  if (n == 1) return geometry::Distance(p, tr[0].p);
-  double best = kInf;
-  for (size_t i = 0; i + 1 < n; ++i) {
-    best = std::min(
-        best, geometry::PointSegmentDistance(p, tr[i].p, tr[i + 1].p));
-  }
-  return best;
 }
 
 void ConsecutiveDist(const Trajectory& tr, double* out) {

@@ -77,28 +77,6 @@ TEST(KernelDispatchTest, ScalarTierAlwaysAvailable) {
   EXPECT_EQ(KernelDispatch::Get().isa, KernelDispatch::Active());
 }
 
-TEST(KernelDispatchTest, PairwiseSqDistMatchesScalarOnEveryTier) {
-  const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
-  Rng rng(11);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{33}}) {
-    for (size_t m : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
-      const auto ax = Column(&rng, n, true);
-      const auto ay = Column(&rng, n, true);
-      const auto bx = Column(&rng, m, true);
-      const auto by = Column(&rng, m, true);
-      std::vector<double> want(n * m, -7.0);
-      ref.pairwise_sq_dist(ax.data(), ay.data(), n, bx.data(), by.data(), m,
-                           want.data());
-      for (Isa isa : CompiledTiers()) {
-        std::vector<double> got(n * m, -7.0);
-        KernelDispatch::Table(isa)->pairwise_sq_dist(
-            ax.data(), ay.data(), n, bx.data(), by.data(), m, got.data());
-        ExpectBytesEqual(want, got, isa, "pairwise_sq_dist");
-      }
-    }
-  }
-}
-
 TEST(KernelDispatchTest, RowAndColumnPrimitivesMatchScalarOnEveryTier) {
   const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
   Rng rng_store(12);
@@ -121,8 +99,6 @@ TEST(KernelDispatchTest, RowAndColumnPrimitivesMatchScalarOnEveryTier) {
     ref.dist_row(px, py, xs.data(), ys.data(), lo, hi, want_row.data());
     ref.point_to_many_dist(px, py, xs.data(), ys.data(), n, want_many.data());
     ref.consecutive_dist(xs.data(), ys.data(), n, want_consec.data());
-    const double want_poly =
-        ref.point_to_polyline_dist(px, py, xs.data(), ys.data(), n);
 
     for (Isa isa : CompiledTiers()) {
       const KernelOps& ops = *KernelDispatch::Table(isa);
@@ -131,13 +107,9 @@ TEST(KernelDispatchTest, RowAndColumnPrimitivesMatchScalarOnEveryTier) {
       ops.dist_row(px, py, xs.data(), ys.data(), lo, hi, row.data());
       ops.point_to_many_dist(px, py, xs.data(), ys.data(), n, many.data());
       ops.consecutive_dist(xs.data(), ys.data(), n, consec.data());
-      const double poly =
-          ops.point_to_polyline_dist(px, py, xs.data(), ys.data(), n);
       ExpectBytesEqual(want_row, row, isa, "dist_row");
       ExpectBytesEqual(want_many, many, isa, "point_to_many_dist");
       ExpectBytesEqual(want_consec, consec, isa, "consecutive_dist");
-      EXPECT_EQ(0, std::memcmp(&want_poly, &poly, sizeof(double)))
-          << "point_to_polyline_dist diverges on tier " << IsaName(isa);
     }
   }
 }
@@ -185,7 +157,7 @@ TEST(KernelDispatchTest, LeafScanMatchesScalarOnEveryTier) {
   Rng rng_store(15);
   Rng* rng = &rng_store;
   // Counts cover the AVX-512 full-lane and masked-tail paths plus the
-  // kMaxEntriesCap-sized worst case of the portable compaction buffer.
+  // kLeafScanMaxCount-sized worst case of the portable compaction buffer.
   for (size_t count : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
                        size_t{63}, size_t{64}, size_t{256}}) {
     std::vector<double> min_x(count), min_y(count), max_x(count), max_y(count);
@@ -233,16 +205,28 @@ TEST(KernelDispatchTest, WorkloadChecksumIdenticalAcrossTiers) {
       const size_t n = static_cast<size_t>(rng->UniformInt(1, 96));
       const auto xs = Column(rng, n, trial % 2 == 0);
       const auto ys = Column(rng, n, trial % 3 == 0);
-      std::vector<double> out(n * n);
-      ops.pairwise_sq_dist(xs.data(), ys.data(), n, xs.data(), ys.data(), n,
-                           out.data());
-      h = Fnv1a(out.data(), out.size() * sizeof(double), h);
+      std::vector<double> out(3 * n);
+      for (size_t i = 0; i < n; ++i) {
+        ops.dist_row(xs[i], ys[i], xs.data(), ys.data(), 0, n, out.data());
+        h = Fnv1a(out.data(), n * sizeof(double), h);
+      }
       ops.point_to_many_dist(xs[0], ys[0], xs.data(), ys.data(), n,
                              out.data());
       h = Fnv1a(out.data(), n * sizeof(double), h);
-      const double poly =
-          ops.point_to_polyline_dist(ys[0], xs[0], xs.data(), ys.data(), n);
-      h = Fnv1a(&poly, sizeof(double), h);
+      ops.consecutive_dist(xs.data(), ys.data(), n, out.data());
+      h = Fnv1a(out.data(), (n - 1) * sizeof(double), h);
+      const double frechet = ops.frechet_full(xs.data(), ys.data(), n,
+                                              ys.data(), xs.data(), n,
+                                              out.data());
+      h = Fnv1a(&frechet, sizeof(double), h);
+      // Point boxes (min == max) against a box around the first sample.
+      std::vector<uint64_t> ids(n), hits(n);
+      for (size_t i = 0; i < n; ++i) ids[i] = i;
+      const size_t hit_n = ops.leaf_scan(
+          xs.data(), ys.data(), xs.data(), ys.data(), ids.data(), n,
+          xs[0] - 300.0, ys[0] - 300.0, xs[0] + 300.0, ys[0] + 300.0,
+          hits.data());
+      h = Fnv1a(hits.data(), hit_n * sizeof(uint64_t), h);
     }
     return h;
   };

@@ -1,20 +1,17 @@
 // Property tests for the kernel layer: every vectorized primitive must be
 // BIT-IDENTICAL (not merely close) to its scalar reference over randomized
 // trajectories including empty, single-point, and degenerate inputs, and
-// PackedRTree must return the same result sets as index::RTree.
+// BoxGapScan must stream a PackedRTree's items in brute-force (gap, id)
+// order.
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/exec_context.h"
 #include "core/random.h"
-#include "geometry/geo.h"
-#include "index/rtree.h"
 #include "kernels/distance.h"
 #include "kernels/packed_rtree.h"
 #include "kernels/scalar_ref.h"
@@ -28,8 +25,6 @@ namespace {
 
 using geometry::BBox;
 using geometry::Point;
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Random trajectory with degenerate features: duplicate points (zero-length
 // segments), repeated timestamps, collinear runs.
@@ -129,22 +124,6 @@ TEST(KernelEquivalenceTest, LcssMatchesScalarBitForBit) {
 
 // ----------------------------------------------------- primitive identity
 
-TEST(KernelEquivalenceTest, PairwiseSqDistMatchesScalar) {
-  Rng rng(19);
-  for (size_t n : InterestingSizes()) {
-    for (size_t m : InterestingSizes()) {
-      const Trajectory a = RandomTrajectory(&rng, n, 1);
-      const Trajectory b = RandomTrajectory(&rng, m, 2);
-      const TrajectoryView va = TrajectoryView::Of(a);
-      const TrajectoryView vb = TrajectoryView::Of(b);
-      std::vector<double> got(n * m, -1.0), want(n * m, -2.0);
-      PairwiseSqDist(va.x(), va.y(), n, vb.x(), vb.y(), m, got.data());
-      scalar::PairwiseSqDist(a, b, want.data());
-      EXPECT_EQ(got, want) << "n=" << n << " m=" << m;
-    }
-  }
-}
-
 TEST(KernelEquivalenceTest, ConsecutiveDistMatchesScalar) {
   Rng rng(23);
   for (size_t n : InterestingSizes()) {
@@ -168,24 +147,6 @@ TEST(KernelEquivalenceTest, PointToManyDistMatchesScalar) {
     scalar::PointToManyDist(p, tr, want.data());
     EXPECT_EQ(got, want) << "n=" << n;
   }
-}
-
-TEST(KernelEquivalenceTest, PointToPolylineDistMatchesScalar) {
-  Rng rng(31);
-  for (size_t n : InterestingSizes()) {
-    const Trajectory tr = RandomTrajectory(&rng, n);
-    const TrajectoryView v = TrajectoryView::Of(tr);
-    for (int reps = 0; reps < 8; ++reps) {
-      const Point p(rng.Uniform(-600.0, 600.0), rng.Uniform(-600.0, 600.0));
-      const double got = PointToPolylineDist(p.x, p.y, v.x(), v.y(), n);
-      const double want = scalar::PointToPolylineDist(p, tr);
-      EXPECT_EQ(got, want) << "n=" << n;
-    }
-  }
-}
-
-TEST(KernelEquivalenceTest, PointToPolylineEmptyIsInfinite) {
-  EXPECT_EQ(PointToPolylineDist(0.0, 0.0, nullptr, nullptr, 0), kInf);
 }
 
 // ------------------------------------------------------------ SoA caching
@@ -224,28 +185,6 @@ TEST(TrajectoryViewTest, ColumnsMatchPoints) {
   }
 }
 
-TEST(SoaBufferTest, FromLatLonMatchesManualProjection) {
-  const geometry::LatLon origin(40.0, -74.0);
-  const geometry::LocalProjection proj(origin);
-  std::vector<std::pair<Timestamp, geometry::LatLon>> samples;
-  Rng rng(43);
-  for (int i = 0; i < 20; ++i) {
-    samples.emplace_back(
-        i * 1000,
-        geometry::LatLon(40.0 + rng.Uniform(-0.01, 0.01),
-                         -74.0 + rng.Uniform(-0.01, 0.01)));
-  }
-  const SoaBuffer buf = SoaBuffer::FromLatLon(samples, proj);
-  ASSERT_EQ(buf.size(), samples.size());
-  const SoaView v = buf.view();
-  for (size_t i = 0; i < samples.size(); ++i) {
-    const Point p = proj.Forward(samples[i].second);
-    EXPECT_EQ(v.x[i], p.x);
-    EXPECT_EQ(v.y[i], p.y);
-    EXPECT_EQ(v.t[i], samples[i].first);
-  }
-}
-
 // ------------------------------------------------------------ PackedRTree
 
 std::vector<PackedRTree::Item> RandomBoxes(Rng* rng, size_t n) {
@@ -261,162 +200,39 @@ std::vector<PackedRTree::Item> RandomBoxes(Rng* rng, size_t n) {
   return items;
 }
 
-TEST(PackedRTreeTest, RangeQueryMatchesRTree) {
-  Rng rng(47);
-  for (size_t n : {0ul, 1ul, 5ul, 16ul, 17ul, 300ul}) {
-    const std::vector<PackedRTree::Item> items = RandomBoxes(&rng, n);
-    PackedRTree packed;
-    packed.BulkLoad(items);
-    index::RTree baseline;
-    std::vector<index::RTree::Item> base_items;
-    for (const auto& it : items) base_items.push_back({it.id, it.box});
-    baseline.BulkLoad(base_items);
-    for (int q = 0; q < 20; ++q) {
-      const double x = rng.Uniform(-50.0, 1050.0);
-      const double y = rng.Uniform(-50.0, 1050.0);
-      const BBox query(x, y, x + rng.Uniform(0.0, 200.0),
-                       y + rng.Uniform(0.0, 200.0));
-      std::vector<uint64_t> got = packed.RangeQuery(query);
-      std::vector<uint64_t> want = baseline.RangeQuery(query);
-      std::sort(got.begin(), got.end());
-      std::sort(want.begin(), want.end());
-      EXPECT_EQ(got, want) << "n=" << n;
-    }
-    // Empty query boxes match nothing in either tree.
-    EXPECT_TRUE(packed.RangeQuery(BBox()).empty());
-  }
-}
-
-// Wide leaves take the SIMD leaf sweep through full blocks, ragged tails,
-// and the contains-whole-subtree span emit; the result sets must still
-// match index::RTree exactly.
-TEST(PackedRTreeTest, WideLeavesMatchRTree) {
-  Rng rng(67);
-  for (size_t max_entries : {32ul, 64ul}) {
-    for (size_t n : {63ul, 64ul, 65ul, 1000ul}) {
-      const std::vector<PackedRTree::Item> items = RandomBoxes(&rng, n);
-      PackedRTree packed(max_entries);
-      packed.BulkLoad(items);
-      index::RTree baseline;
-      std::vector<index::RTree::Item> base_items;
-      for (const auto& it : items) base_items.push_back({it.id, it.box});
-      baseline.BulkLoad(base_items);
-      for (int q = 0; q < 20; ++q) {
-        const double x = rng.Uniform(-50.0, 1050.0);
-        const double y = rng.Uniform(-50.0, 1050.0);
-        // Mix small boxes with huge ones that contain whole subtrees.
-        const double side = (q % 3 == 0) ? 600.0 : rng.Uniform(0.0, 120.0);
-        const BBox query(x, y, x + side, y + side);
-        std::vector<uint64_t> got = packed.RangeQuery(query);
-        std::vector<uint64_t> want = baseline.RangeQuery(query);
-        std::sort(got.begin(), got.end());
-        std::sort(want.begin(), want.end());
-        EXPECT_EQ(got, want) << "max_entries=" << max_entries << " n=" << n;
-      }
-    }
-  }
-}
-
-TEST(PackedRTreeTest, RangeQueryManyReusesCallerBuffers) {
-  Rng rng(71);
-  PackedRTree packed(64);
-  packed.BulkLoad(RandomBoxes(&rng, 500));
-  std::vector<BBox> queries;
-  for (int q = 0; q < 40; ++q) {
-    const double x = rng.Uniform(0.0, 1000.0);
-    const double y = rng.Uniform(0.0, 1000.0);
-    queries.emplace_back(x, y, x + 150.0, y + 150.0);
-  }
-  PackedRTree::BatchResults reused;
-  packed.RangeQueryMany(queries, &reused);
-  const PackedRTree::BatchResults fresh = packed.RangeQueryMany(queries);
-  EXPECT_EQ(reused.ids, fresh.ids);
-  EXPECT_EQ(reused.offsets, fresh.offsets);
-  // A second in-place batch over different queries fully replaces the
-  // previous contents.
-  std::vector<BBox> one_query{queries.front()};
-  packed.RangeQueryMany(one_query, &reused);
-  ASSERT_EQ(reused.queries(), 1u);
-  EXPECT_EQ(std::vector<uint64_t>(reused.begin_of(0), reused.end_of(0)),
-            packed.RangeQuery(queries.front()));
-}
-
-TEST(PackedRTreeTest, RangeQueryManyMatchesSingleQueries) {
-  Rng rng(53);
-  PackedRTree packed;
-  packed.BulkLoad(RandomBoxes(&rng, 200));
-  std::vector<BBox> queries;
-  for (int q = 0; q < 30; ++q) {
-    const double x = rng.Uniform(0.0, 1000.0);
-    const double y = rng.Uniform(0.0, 1000.0);
-    queries.emplace_back(x, y, x + 100.0, y + 100.0);
-  }
-  const PackedRTree::BatchResults batch = packed.RangeQueryMany(queries);
-  ASSERT_EQ(batch.queries(), queries.size());
-  for (size_t q = 0; q < queries.size(); ++q) {
-    const std::vector<uint64_t> single = packed.RangeQuery(queries[q]);
-    const std::vector<uint64_t> from_batch(batch.begin_of(q),
-                                           batch.end_of(q));
-    EXPECT_EQ(from_batch, single) << "q=" << q;
-  }
-}
-
-TEST(PackedRTreeTest, KnnMatchesRTreeDistances) {
-  Rng rng(59);
-  const std::vector<PackedRTree::Item> items = RandomBoxes(&rng, 150);
-  PackedRTree packed;
-  packed.BulkLoad(items);
-  index::RTree baseline;
-  std::vector<index::RTree::Item> base_items;
-  for (const auto& it : items) base_items.push_back({it.id, it.box});
-  baseline.BulkLoad(base_items);
-  for (int q = 0; q < 20; ++q) {
-    const Point p(rng.Uniform(0.0, 1000.0), rng.Uniform(0.0, 1000.0));
-    for (size_t k : {1ul, 5ul, 151ul}) {
-      const std::vector<uint64_t> got = packed.Knn(p, k);
-      const std::vector<uint64_t> want = baseline.Knn(p, k);
-      ASSERT_EQ(got.size(), want.size());
-      // Ties at equal MinDistance may resolve differently; compare the
-      // distance sequences, which must be identical and sorted.
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(items[got[i]].box.MinDistance(p),
-                  items[want[i]].box.MinDistance(p));
-      }
-    }
-  }
-  const PackedRTree::BatchResults batch =
-      packed.KnnMany({Point(0, 0), Point(500, 500)}, 3);
-  ASSERT_EQ(batch.queries(), 2u);
-  EXPECT_EQ(batch.count_of(0), 3u);
-  EXPECT_EQ(batch.count_of(1), 3u);
-}
-
+// The brute-force (gap, id) sort of every item is the oracle for the whole
+// tree: the sizes take BulkLoad from a lone leaf root and a full leaf up to
+// four levels at fanout 16, and every fifth item repeats an earlier item's
+// box under its own id, which pins the equal-gap id tie-break.
 TEST(PackedRTreeTest, BoxGapScanStreamsSortedOrder) {
   Rng rng(61);
-  const std::vector<PackedRTree::Item> items = RandomBoxes(&rng, 173);
-  PackedRTree packed;
-  packed.BulkLoad(items);
-  for (int q = 0; q < 10; ++q) {
-    const double x = rng.Uniform(0.0, 1000.0);
-    const double y = rng.Uniform(0.0, 1000.0);
-    const BBox qbox(x, y, x + 40.0, y + 40.0);
-    // Brute-force expected order: stable (gap, id) sort of all items.
-    std::vector<std::pair<double, uint64_t>> expect;
-    for (const auto& it : items) {
-      expect.emplace_back(BoxGap(qbox, it.box), it.id);
+  for (size_t n : {1ul, 16ul, 17ul, 173ul, 5000ul}) {
+    std::vector<PackedRTree::Item> items = RandomBoxes(&rng, n);
+    for (size_t i = 4; i < n; i += 5) items[i].box = items[i / 2].box;
+    PackedRTree packed;
+    packed.BulkLoad(items);
+    ASSERT_EQ(packed.size(), n);
+    for (int q = 0; q < 10; ++q) {
+      const double x = rng.Uniform(0.0, 1000.0);
+      const double y = rng.Uniform(0.0, 1000.0);
+      const BBox qbox(x, y, x + 40.0, y + 40.0);
+      std::vector<std::pair<double, uint64_t>> expect;
+      for (const auto& it : items) {
+        expect.emplace_back(BoxGap(qbox, it.box), it.id);
+      }
+      std::sort(expect.begin(), expect.end());
+      BoxGapScan scan(packed, qbox);
+      uint64_t id = 0;
+      double gap = 0.0;
+      size_t i = 0;
+      while (scan.Next(&id, &gap)) {
+        ASSERT_LT(i, expect.size()) << "n=" << n;
+        EXPECT_EQ(gap, expect[i].first) << "n=" << n << " i=" << i;
+        EXPECT_EQ(id, expect[i].second) << "n=" << n << " i=" << i;
+        ++i;
+      }
+      EXPECT_EQ(i, expect.size()) << "n=" << n << ": scan must be exhaustive";
     }
-    std::sort(expect.begin(), expect.end());
-    BoxGapScan scan(packed, qbox);
-    uint64_t id = 0;
-    double gap = 0.0;
-    size_t i = 0;
-    while (scan.Next(&id, &gap)) {
-      ASSERT_LT(i, expect.size());
-      EXPECT_EQ(gap, expect[i].first) << "i=" << i;
-      EXPECT_EQ(id, expect[i].second) << "i=" << i;
-      ++i;
-    }
-    EXPECT_EQ(i, expect.size()) << "scan must be exhaustive";
   }
 }
 
@@ -424,9 +240,6 @@ TEST(PackedRTreeTest, EmptyTree) {
   PackedRTree packed;
   packed.BulkLoad({});
   EXPECT_TRUE(packed.empty());
-  EXPECT_EQ(packed.height(), 0);
-  EXPECT_TRUE(packed.RangeQuery(BBox(0, 0, 1, 1)).empty());
-  EXPECT_TRUE(packed.Knn(Point(0, 0), 3).empty());
   BoxGapScan scan(packed, BBox(0, 0, 1, 1));
   uint64_t id;
   double gap;
