@@ -2,6 +2,13 @@
 
 namespace sidq {
 
+namespace {
+
+// The stream a seeded stage draws from when run without ctx.rng.
+constexpr uint64_t kSeededFallbackSeed = 0x51D95EEDull;
+
+}  // namespace
+
 StatusOr<Trajectory> RunStageWithRetry(const TrajectoryStage& stage,
                                        const Trajectory& input,
                                        const StageContext& ctx) {
@@ -30,6 +37,22 @@ StatusOr<Trajectory> RunStageWithRetry(const TrajectoryStage& stage,
     }
   }
 }
+
+LambdaStage::LambdaStage(std::string name, Fn fn)
+    : LambdaStage(std::move(name),
+                  [fn = std::move(fn)](const Trajectory& input,
+                                       const StageContext&) {
+                    return fn(input);
+                  }) {}
+
+LambdaStage::LambdaStage(std::string name, SeededFn fn)
+    : LambdaStage(std::move(name),
+                  [fn = std::move(fn)](const Trajectory& input,
+                                       const StageContext& ctx) {
+                    if (ctx.rng != nullptr) return fn(input, *ctx.rng);
+                    Rng fallback(kSeededFallbackSeed);
+                    return fn(input, fallback);
+                  }) {}
 
 StatusOr<Trajectory> LadderStage::ApplyCtx(const Trajectory& input,
                                            const StageContext& ctx) const {
@@ -77,29 +100,9 @@ StatusOr<Trajectory> ApplyStage(const TrajectoryStage& stage,
 
 }  // namespace
 
-StatusOr<Trajectory> TrajectoryPipeline::Run(const Trajectory& input) const {
-  return Run(input, StageContext{});
-}
-
-StatusOr<Trajectory> TrajectoryPipeline::Run(const Trajectory& input,
-                                             Rng* rng) const {
-  StageContext ctx;
-  ctx.rng = rng;
-  return Run(input, ctx);
-}
-
 StatusOr<Trajectory> TrajectoryPipeline::Run(const Trajectory& input,
                                              const StageContext& ctx) const {
   return RunStages(input, ctx, nullptr, nullptr, nullptr);
-}
-
-StatusOr<Trajectory> TrajectoryPipeline::RunProfiled(
-    const Trajectory& input, const Trajectory* truth,
-    const TrajectoryProfiler& profiler,
-    std::vector<StageReport>* reports, Rng* rng) const {
-  StageContext ctx;
-  ctx.rng = rng;
-  return RunStages(input, ctx, truth, &profiler, reports);
 }
 
 StatusOr<Trajectory> TrajectoryPipeline::RunProfiled(
@@ -153,7 +156,7 @@ StatusOr<std::vector<Trajectory>> TrajectoryPipeline::RunBatch(
   out.reserve(inputs.size());
   for (const Trajectory& input : inputs) {
     Rng rng = Rng::ForKey(base_seed, input.object_id());
-    auto result = Run(input, &rng);
+    auto result = Run(input, {.rng = &rng});
     if (!result.ok()) return result.status();
     out.push_back(std::move(result).value());
   }

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/clock.h"
 #include "core/exec_context.h"
 #include "core/random.h"
 #include "exec/steady_clock.h"
@@ -180,19 +181,17 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
   const bool best_effort =
       options_.failure_policy == FailurePolicy::kBestEffort;
   const bool retry_enabled = options_.retry.max_retries > 0;
-  const Clock* wall_clock =
-      options_.clock != nullptr ? options_.clock : SteadyClock::Global();
+  const Clock* wall_clock = SteadyClock::Global();
 
   const obs::ObsSinks sinks =
       options_.obs != nullptr ? *options_.obs : obs::ObsSinks{};
   const bool has_obs = sinks.metrics != nullptr || sinks.tracer != nullptr;
   // Quarantine/degrade tallies are pure functions of the inputs only when
-  // no early exit can skip shards: best-effort with the breaker disabled,
-  // or fail-fast without cancellation. Otherwise *which* objects ran
-  // depends on scheduling and the tallies go volatile.
+  // no early exit can skip shards: best-effort with the breaker disabled.
+  // Otherwise *which* objects ran depends on scheduling and the tallies go
+  // volatile.
   const bool deterministic_counts =
-      best_effort ? options_.max_quarantine_fraction >= 1.0
-                  : !options_.cancel_on_error;
+      best_effort && options_.max_quarantine_fraction >= 1.0;
   const obs::MetricStability count_stability =
       deterministic_counts ? obs::MetricStability::kDeterministic
                            : obs::MetricStability::kVolatile;
@@ -297,7 +296,7 @@ FleetResult FleetRunner::RunInternal(const std::vector<Trajectory>& fleet,
               cancelled.store(true, std::memory_order_release);
             }
           }
-        } else if (options_.cancel_on_error) {
+        } else {
           cancelled.store(true, std::memory_order_release);
         }
       }

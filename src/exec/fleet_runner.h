@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "core/clock.h"
 #include "core/pipeline.h"
 #include "core/quality.h"
 #include "core/retry.h"
@@ -23,9 +22,9 @@ namespace exec {
 
 // What a per-object pipeline failure does to the rest of the fleet.
 enum class FailurePolicy {
-  // First-error-wins: flip the fleet cancellation flag (when
-  // Options::cancel_on_error), skip unstarted shards, abort in-flight
-  // objects at their next cooperative check. The pre-resilience behaviour.
+  // First-error-wins: flip the fleet cancellation flag, skip unstarted
+  // shards, abort in-flight objects at their next cooperative check. The
+  // pre-resilience behaviour.
   kFailFast,
   // Quarantine the failing object (after its retries and ladder rungs are
   // exhausted), keep cleaning everything else, and return partial results
@@ -37,8 +36,9 @@ enum class FailurePolicy {
 
 // How a fleet batch is cut into per-task shards.
 enum class ShardingMode {
-  // Contiguous index chunks of Options::shard_size. Cheapest; the work
-  // stealing pool absorbs moderate imbalance.
+  // Contiguous index chunks of Options::shard_size. Cheapest; the pool's
+  // shared queue absorbs moderate imbalance, since an idle worker always
+  // takes the next shard.
   kRoundRobin,
   // AdaptiveQuadPartition over trajectory centroids with a per-partition
   // load cap (Options::skew_max_load). Choose this when the fleet is
@@ -93,10 +93,10 @@ struct FleetResult {
   // Cancelled when first-error-wins cancellation skipped its shard.
   std::vector<Status> statuses;
   // The stage failure with the lowest input index among shards that
-  // executed; OK when the whole fleet cleaned. With cancellation enabled
-  // and a single failing trajectory this is deterministic; with several
-  // failures the winner among *executed* shards can depend on scheduling
-  // (disable cancel_on_error for exhaustive error reporting).
+  // executed; OK when the whole fleet cleaned. Under kFailFast with a single
+  // failing trajectory this is deterministic; with several failures the
+  // winner among *executed* shards can depend on scheduling (kBestEffort
+  // with the breaker off reports every failure).
   Status first_error;
   // Fleet-level aggregates, num_stages()+1 entries starting with "input";
   // filled by RunProfiled only.
@@ -130,8 +130,8 @@ struct FleetResult {
   [[nodiscard]] std::string ResilienceSummary() const;
 };
 
-// Runs a TrajectoryPipeline over a batch of trajectories on a work-stealing
-// ThreadPool.
+// Runs a TrajectoryPipeline over a batch of trajectories on a ThreadPool,
+// one task per shard.
 //
 // Determinism contract: trajectory i is cleaned with the RNG substream
 // DeriveSeed(base_seed, fleet[i].object_id()) and results are written back
@@ -140,10 +140,11 @@ struct FleetResult {
 // mode, or OS scheduling. (Trajectories sharing an object_id share a
 // substream; give fleet members distinct ids.)
 //
-// Failure contract: first-error-wins. The first stage failure flips a
-// cancellation flag; shards that have not started yet finish immediately,
-// marking their trajectories Cancelled. Shards already in flight complete
-// normally. Set cancel_on_error=false to always clean everything.
+// Failure contract (kFailFast, the default): first-error-wins. The first
+// stage failure flips a cancellation flag; shards that have not started yet
+// finish immediately, marking their trajectories Cancelled. Shards already
+// in flight complete normally. kBestEffort with the breaker off
+// (max_quarantine_fraction >= 1) always cleans everything.
 class FleetRunner {
  public:
   struct Options {
@@ -157,8 +158,6 @@ class FleetRunner {
     size_t skew_max_load = 64;
     // Base seed of the per-trajectory substreams.
     uint64_t base_seed = 42;
-    // First-error-wins cancellation (kFailFast only).
-    bool cancel_on_error = true;
 
     // --- resilience ---
     FailurePolicy failure_policy = FailurePolicy::kFailFast;
@@ -173,15 +172,14 @@ class FleetRunner {
     // true: every trajectory runs against its own VirtualClock starting at
     // 0, so injected stalls and backoffs are instant and one object's
     // stalls can never consume another's budget -- fully deterministic
-    // (tests, chaos runs). false: deadlines/backoffs use `clock` below.
+    // (tests, chaos runs). false: deadlines/backoffs use the process-wide
+    // SteadyClock.
     bool virtual_time = false;
-    // Wall clock for deadlines/backoffs when virtual_time is false;
-    // nullptr = process-wide SteadyClock.
-    const Clock* clock = nullptr;
     // Circuit breaker (kBestEffort only): abort the run once more than
     // this fraction of the fleet has been quarantined. >= 1.0 disables.
-    // Tripping is an early-exit race like cancel_on_error: *which* shards
-    // get skipped depends on scheduling, the trip decision itself does not.
+    // Tripping is an early-exit race like kFailFast cancellation: *which*
+    // shards get skipped depends on scheduling, the trip decision itself
+    // does not.
     double max_quarantine_fraction = 1.0;
 
     // --- observability ---

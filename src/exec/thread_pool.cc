@@ -5,90 +5,58 @@
 namespace sidq {
 namespace exec {
 
-ThreadPool::ThreadPool(size_t num_threads, obs::MetricsRegistry* metrics) {
+namespace {
+
+size_t ResolveWorkers(size_t num_threads) {
+  if (num_threads == 0) num_threads = std::thread::hardware_concurrency();
+  return std::max<size_t>(1, num_threads);
+}
+
+}  // namespace
+
+ThreadPool::ThreadPool(size_t num_threads, obs::MetricsRegistry* metrics)
+    : num_workers_(ResolveWorkers(num_threads)) {
   if (metrics != nullptr) {
     tasks_counter_ =
         metrics->counter("exec.pool.tasks", obs::MetricStability::kVolatile);
-    steals_counter_ =
-        metrics->counter("exec.pool.steals", obs::MetricStability::kVolatile);
     rejected_counter_ = metrics->counter("exec.pool.rejected",
                                          obs::MetricStability::kVolatile);
   }
-  if (num_threads == 0) num_threads = std::thread::hardware_concurrency();
-  num_threads = std::max<size_t>(1, num_threads);
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+  threads_.reserve(num_workers_);
+  for (size_t i = 0; i < num_workers_; ++i) {
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
 bool ThreadPool::Enqueue(std::function<void()> task) {
-  const size_t idx =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
   {
-    // The shutdown check, queue push, and queued_ increment must be one
-    // atomic step with respect to Shutdown(): checking first and pushing
-    // later left a window where a task enqueued mid-shutdown was never
-    // counted, so the workers drained queued_ == 0 and joined with the
-    // task still sitting in a deque -- a silent drop. Nesting the worker
-    // mutex inside mu_ is safe: no other path holds them simultaneously.
+    // The shutdown check and the push are one step with respect to
+    // Shutdown(), so a task is either queued before the workers can see
+    // shutdown_ (and is drained) or rejected -- never silently dropped.
     MutexLock lock(mu_);
     if (shutdown_) return false;
-    {
-      MutexLock wlock(workers_[idx]->mu);
-      workers_[idx]->queue.push_back(std::move(task));
-    }
-    ++queued_;
+    queue_.push_back(std::move(task));
   }
   tasks_counter_.Increment();
   cv_.NotifyOne();
   return true;
 }
 
-bool ThreadPool::TryPop(size_t self, std::function<void()>* task) {
-  const size_t n = workers_.size();
-  for (size_t k = 0; k < n; ++k) {
-    Worker& w = *workers_[(self + k) % n];
-    {
-      MutexLock lock(w.mu);
-      if (w.queue.empty()) continue;
-      if (k == 0) {
-        *task = std::move(w.queue.front());
-        w.queue.pop_front();
-      } else {
-        *task = std::move(w.queue.back());
-        w.queue.pop_back();
-        steals_counter_.Increment();
-      }
-    }
-    {
-      MutexLock lock(mu_);
-      --queued_;
-    }
-    return true;
-  }
-  return false;
-}
-
-void ThreadPool::WorkerLoop(size_t self) {
+void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
-    if (TryPop(self, &task)) {
-      task();
-      task = nullptr;  // release captures before sleeping
-      continue;
+    {
+      MutexLock lock(mu_);
+      // Condition loop instead of a predicate lambda: the guarded reads of
+      // queue_/shutdown_ stay inside this analyzed scope (core/mutex.h).
+      while (queue_.empty() && !shutdown_) cv_.Wait(mu_);
+      if (queue_.empty()) return;  // shutting down and drained
+      task = std::move(queue_.front());
+      queue_.pop_front();
     }
-    MutexLock lock(mu_);
-    // Condition loop instead of a predicate lambda: the guarded reads of
-    // queued_/shutdown_ stay inside this analyzed scope (core/mutex.h).
-    while (queued_ == 0 && !shutdown_) cv_.Wait(mu_);
-    if (queued_ == 0 && shutdown_) return;
+    task();
   }
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <deque>
 #include <functional>
@@ -20,10 +19,12 @@
 namespace sidq {
 namespace exec {
 
-// Fixed-size work-stealing thread pool. Tasks are distributed round-robin
-// over per-worker deques; an idle worker first drains its own deque in FIFO
-// order, then steals from the back of its siblings' deques, so a skewed
-// shard assignment cannot strand work behind one slow queue.
+// Fixed-size thread pool over one shared FIFO queue: every idle worker
+// takes the oldest queued task, so a slow task occupies one worker while
+// the rest keep draining the queue. Callers submit whole batches from one
+// thread (fleet shards, replay shards) and tasks never submit tasks, so a
+// single mutex-guarded queue balances as well as per-worker deques would,
+// with one lock per task instead of two.
 //
 // Error propagation follows the repo-wide Status idiom: tasks return
 // Status / StatusOr<T> *by value* through the future -- the pool never
@@ -40,10 +41,9 @@ class ThreadPool {
  public:
   // Spawns `num_threads` workers (clamped to at least 1; pass 0 to use
   // std::thread::hardware_concurrency()). With a registry, the pool counts
-  // exec.pool.{tasks,steals,rejected} -- all kVolatile, since how often
-  // workers steal (and whether a submission races shutdown) is pure OS
-  // scheduling, exactly what the determinism contract keeps out of golden
-  // snapshots.
+  // exec.pool.{tasks,rejected} -- both kVolatile, since whether a
+  // submission races shutdown is pure OS scheduling, exactly what the
+  // determinism contract keeps out of golden snapshots.
   explicit ThreadPool(size_t num_threads,
                       obs::MetricsRegistry* metrics = nullptr);
   // Graceful: equivalent to Shutdown().
@@ -52,7 +52,7 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_workers() const { return workers_.size(); }
+  size_t num_workers() const { return num_workers_; }
 
   // Enqueues `fn` and returns a future for its result. Submitting from
   // multiple threads is safe. Once Shutdown() has begun the task is NOT
@@ -85,34 +85,20 @@ class ThreadPool {
   void Shutdown() SIDQ_EXCLUDES(mu_);
 
  private:
-  struct Worker {
-    Mutex mu;
-    std::deque<std::function<void()>> queue SIDQ_GUARDED_BY(mu);
-  };
-
-  // False when the pool is shutting down (task not queued). Lock order:
-  // takes mu_ first, then the target worker's mu nested inside it (see
-  // DESIGN.md "Concurrency & locking discipline"); hence EXCLUDES both.
+  // False when the pool is shutting down (task not queued).
   [[nodiscard]] bool Enqueue(std::function<void()> task) SIDQ_EXCLUDES(mu_);
-  void WorkerLoop(size_t self) SIDQ_EXCLUDES(mu_);
-  // Pops own work (front) or steals (back); false when every queue is empty.
-  bool TryPop(size_t self, std::function<void()>* task) SIDQ_EXCLUDES(mu_);
+  void WorkerLoop() SIDQ_EXCLUDES(mu_);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
+  const size_t num_workers_;
   std::vector<std::thread> threads_;
 
-  // mu_/cv_ guard the idle/wakeup protocol; `queued_` counts tasks pushed
-  // but not yet popped so sleepers never miss a submission.
   Mutex mu_;
   CondVar cv_;
-  size_t queued_ SIDQ_GUARDED_BY(mu_) = 0;
+  std::deque<std::function<void()>> queue_ SIDQ_GUARDED_BY(mu_);
   bool shutdown_ SIDQ_GUARDED_BY(mu_) = false;
-
-  std::atomic<size_t> next_queue_{0};
 
   // Detached no-ops when the pool was built without a registry.
   obs::Counter tasks_counter_;
-  obs::Counter steals_counter_;
   obs::Counter rejected_counter_;
 };
 

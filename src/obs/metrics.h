@@ -27,7 +27,7 @@ namespace obs {
 //     config) under virtual time: counters/gauges of discrete events, and
 //     histograms fed integer-valued samples (integer doubles sum exactly in
 //     any stripe order, so even the float `sum` field is reproducible);
-//   kVolatile -- its value depends on OS scheduling (work-steal counts,
+//   kVolatile -- its value depends on OS scheduling (pool task counts,
 //     wall-clock durations). Volatile metrics are excluded from snapshots
 //     unless SnapshotOptions::include_volatile is set, so the default
 //     export is byte-identical across runs and worker counts -- the

@@ -240,8 +240,8 @@ DetectionQuality EvaluateDetection(const std::vector<bool>& predicted,
   return q;
 }
 
-StatusOr<Trajectory> SpeedOutlierRepairStage::Apply(
-    const Trajectory& input) const {
+StatusOr<Trajectory> SpeedOutlierRepairStage::ApplyCtx(
+    const Trajectory& input, const StageContext& /*ctx*/) const {
   SIDQ_ASSIGN_OR_RETURN(std::vector<bool> flags, detector_.Detect(input));
   return RepairFlagged(input, flags);
 }

@@ -396,5 +396,59 @@ TEST(PipelineTest, RunProfiledEmitsReports) {
   EXPECT_EQ(reports[1].stage_name, "identity");
 }
 
+// A seeded stage run without a substream (plain Run / Apply) draws from the
+// fixed fallback stream Rng(0x51D95EED), so single-trajectory runs are
+// reproducible and equal to a run handed that stream explicitly.
+TEST(PipelineTest, UnseededRunOfSeededStageDrawsTheFallbackStream) {
+  TrajectoryPipeline pipeline;
+  pipeline.AddSeeded("jitter",
+                     [](const Trajectory& in, Rng& rng) -> StatusOr<Trajectory> {
+                       Trajectory out(in.object_id());
+                       for (const auto& pt : in.points()) {
+                         out.AppendUnordered(TrajectoryPoint(
+                             pt.t,
+                             {pt.p.x + rng.Gaussian(0.0, 1.0),
+                              pt.p.y + rng.Gaussian(0.0, 1.0)},
+                             pt.accuracy));
+                       }
+                       return out;
+                     });
+  Trajectory in(7);
+  for (int i = 0; i < 16; ++i) {
+    in.AppendUnordered(TrajectoryPoint(i * 1000, {i * 10.0, 5.0}));
+  }
+  const auto same_bits = [](const Trajectory& a, const Trajectory& b) {
+    if (a.size() != b.size()) return false;
+    for (size_t i = 0; i < a.size(); ++i) {
+      if (a[i].t != b[i].t || a[i].p.x != b[i].p.x || a[i].p.y != b[i].p.y) {
+        return false;
+      }
+    }
+    return true;
+  };
+
+  const auto unseeded = pipeline.Run(in);
+  const auto repeat = pipeline.Run(in);
+  const auto direct = pipeline.stage(0).Apply(in);
+  Rng fallback(0x51D95EEDull);
+  StageContext ctx;
+  ctx.rng = &fallback;
+  const auto seeded = pipeline.Run(in, ctx);
+  Rng other(0x51D95EEEull);
+  ctx.rng = &other;
+  const auto reseeded = pipeline.Run(in, ctx);
+  ASSERT_TRUE(unseeded.ok());
+  ASSERT_TRUE(repeat.ok());
+  ASSERT_TRUE(direct.ok());
+  ASSERT_TRUE(seeded.ok());
+  ASSERT_TRUE(reseeded.ok());
+
+  EXPECT_FALSE(same_bits(*unseeded, in));  // the stage really draws
+  EXPECT_TRUE(same_bits(*unseeded, *repeat));
+  EXPECT_TRUE(same_bits(*unseeded, *direct));
+  EXPECT_TRUE(same_bits(*unseeded, *seeded));
+  EXPECT_FALSE(same_bits(*unseeded, *reseeded));
+}
+
 }  // namespace
 }  // namespace sidq

@@ -199,7 +199,7 @@ TEST_F(ResilienceTest, TransientStageSucceedsViaRetryAndBacksOff) {
   cfg.fail_first_n = 2;
   ArmFailPoint("test.gateway", cfg);
 
-  const ContextLambdaStage stage(
+  const LambdaStage stage(
       "gateway", [](const Trajectory& in, const StageContext& ctx)
                      -> StatusOr<Trajectory> {
         SIDQ_RETURN_IF_ERROR(
@@ -231,12 +231,12 @@ TEST_F(ResilienceTest, TransientStageSucceedsViaRetryAndBacksOff) {
 
 TEST_F(ResilienceTest, PermanentErrorIsNotRetried) {
   int attempts = 0;
-  ContextLambdaStage stage("broken",
-                           [&attempts](const Trajectory&, const StageContext&)
-                               -> StatusOr<Trajectory> {
-                             ++attempts;
-                             return Status::DataLoss("bad sensor");
-                           });
+  LambdaStage stage("broken",
+                    [&attempts](const Trajectory&, const StageContext&)
+                        -> StatusOr<Trajectory> {
+                      ++attempts;
+                      return Status::DataLoss("bad sensor");
+                    });
   RetryPolicy retry;
   retry.max_retries = 5;
   RunTrace trace;
@@ -514,7 +514,7 @@ TEST_F(ResilienceTest, BestEffortQuarantinesOneFailureAndKeepsTheRest) {
   for (size_t i = 0; i < kFleet; ++i) {
     if (!result.statuses[i].ok()) continue;
     Rng rng = Rng::ForKey(options.base_seed, fleet[i].object_id());
-    const auto serial = pipeline.Run(fleet[i], &rng);
+    const auto serial = pipeline.Run(fleet[i], {.rng = &rng});
     ASSERT_TRUE(serial.ok());
     EXPECT_EQ(result.cleaned[i].size(), serial->size());
     for (size_t k = 0; k < serial->size(); ++k) {
@@ -606,8 +606,7 @@ TEST_F(ResilienceTest, FailFastStillCancelsLikeBefore) {
   const TrajectoryPipeline pipeline = MakePipelineFailingFor(0);
   FleetRunner::Options options;
   options.num_threads = 1;
-  options.shard_size = 1;
-  options.cancel_on_error = true;  // kFailFast default
+  options.shard_size = 1;  // kFailFast default
   const FleetRunner runner(&pipeline, options);
   const FleetResult result = runner.Run(fleet);
   EXPECT_FALSE(result.ok());

@@ -1,6 +1,6 @@
 // Concurrency stress tests for src/exec/, written to be run under the
 // `tsan` preset (they also run in every other preset): tiny shards and
-// more workers than cores hammer the pool's queue, steal, cancellation,
+// more workers than cores hammer the pool's queue, cancellation,
 // and report-merge paths so ThreadSanitizer sees real interleavings
 // instead of a single lucky schedule.
 
@@ -74,7 +74,7 @@ TEST(ExecStressTest, ManyWorkersSingleTrajectoryShardsStayDeterministic) {
 
   FleetRunner::Options options;
   options.num_threads = 8;  // deliberately more than this container's cores
-  options.shard_size = 1;   // maximum queue/steal churn
+  options.shard_size = 1;   // maximum queue churn
   options.base_seed = kSeed;
   const FleetRunner runner(&pipeline, options);
 
@@ -145,7 +145,6 @@ TEST(ExecStressTest, CancellationRaceIsClean) {
   options.num_threads = 8;
   options.shard_size = 2;
   options.base_seed = kSeed;
-  options.cancel_on_error = true;
   const FleetRunner runner(&pipeline, options);
 
   for (int round = 0; round < 4; ++round) {

@@ -54,7 +54,7 @@ std::vector<Trajectory> MakeSyntheticFleet(size_t num_trajectories,
 }
 
 // Seeded jitter + deterministic smoothing: a pipeline that exercises both
-// the ApplySeeded substream path and the plain Apply path.
+// a stage drawing from the ctx.rng substream and one that ignores it.
 TrajectoryPipeline MakeCleaningPipeline() {
   TrajectoryPipeline pipeline;
   pipeline.AddSeeded("jitter",
@@ -145,9 +145,9 @@ TEST(FleetRunnerTest, SubstreamsAreIndependentPerTrajectory) {
   Rng rng_a = Rng::ForKey(kSeed, 0);
   Rng rng_a2 = Rng::ForKey(kSeed, 0);
   Rng rng_b = Rng::ForKey(kSeed, 1);
-  const auto out_a = pipeline.Run(fleet[0], &rng_a);
-  const auto out_a2 = pipeline.Run(fleet[0], &rng_a2);
-  const auto out_b = pipeline.Run(twin, &rng_b);
+  const auto out_a = pipeline.Run(fleet[0], {.rng = &rng_a});
+  const auto out_a2 = pipeline.Run(fleet[0], {.rng = &rng_a2});
+  const auto out_b = pipeline.Run(twin, {.rng = &rng_b});
   ASSERT_TRUE(out_a.ok());
   ASSERT_TRUE(out_a2.ok());
   ASSERT_TRUE(out_b.ok());
@@ -177,7 +177,8 @@ TEST(FleetRunnerTest, OnePoisonedTrajectoryLeavesOthersUnaffected) {
   options.num_threads = 4;
   options.shard_size = 5;
   options.base_seed = kSeed;
-  options.cancel_on_error = false;  // clean everything, report everything
+  // Breaker off (the default): clean everything, report everything.
+  options.failure_policy = exec::FailurePolicy::kBestEffort;
   const FleetRunner runner(&pipeline, options);
   const FleetResult result = runner.Run(fleet);
 
@@ -193,7 +194,7 @@ TEST(FleetRunnerTest, OnePoisonedTrajectoryLeavesOthersUnaffected) {
     }
     ASSERT_TRUE(result.statuses[i].ok()) << "trajectory " << i;
     Rng rng = Rng::ForKey(kSeed, fleet[i].object_id());
-    const auto serial = pipeline.Run(fleet[i], &rng);
+    const auto serial = pipeline.Run(fleet[i], {.rng = &rng});
     ASSERT_TRUE(serial.ok());
     EXPECT_TRUE(BitIdentical(result.cleaned[i], *serial));
   }
@@ -207,7 +208,6 @@ TEST(FleetRunnerTest, FirstErrorWinsCancellationSkipsUnstartedShards) {
   options.num_threads = 1;  // one worker drains shards in submission order
   options.shard_size = 1;
   options.base_seed = kSeed;
-  options.cancel_on_error = true;
   const FleetRunner runner(&pipeline, options);
   const FleetResult result = runner.Run(fleet);
 
@@ -388,10 +388,10 @@ TEST(ThreadPoolTest, StatusPropagatesThroughFutures) {
   EXPECT_EQ(err_or.get().status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(ThreadPoolTest, WorkStealingDrainsOneHotQueue) {
-  // Round-robin placement puts every 4th task on the same worker; a task
-  // that blocks one worker must not strand the rest of the queue because
-  // siblings steal. The run finishing at all (quickly) is the assertion.
+TEST(ThreadPoolTest, ABlockedWorkerNeverStrandsQueuedTasks) {
+  // A task that blocks one worker must not strand the tasks queued behind
+  // it: the other workers keep draining the shared queue. The run
+  // finishing at all (quickly) is the assertion.
   ThreadPool pool(4);
   std::atomic<int> done{0};
   std::vector<std::future<Status>> futures;
@@ -399,7 +399,7 @@ TEST(ThreadPoolTest, WorkStealingDrainsOneHotQueue) {
   for (int i = 0; i < 64; ++i) {
     const bool slow = (i == 0);
     futures.push_back(pool.Submit([&done, slow]() -> Status {
-      // sidq: allow-wallclock(one genuinely blocked worker forces stealing)
+      // sidq: allow-wallclock(one genuinely blocked worker)
       if (slow) std::this_thread::sleep_for(std::chrono::milliseconds(50));
       done.fetch_add(1, std::memory_order_relaxed);
       return Status::OK();

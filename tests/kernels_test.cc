@@ -17,7 +17,6 @@
 #include "kernels/scalar_ref.h"
 #include "kernels/soa.h"
 #include "query/similarity.h"
-#include "sim/trajectory_sim.h"
 
 namespace sidq {
 namespace kernels {
