@@ -12,6 +12,8 @@
 // Primitives:
 //   frechet_row  full discrete Frechet through the dispatched
 //                anti-diagonal wavefront (kernels::FrechetFullKernel)
+//   dtw_full     unbanded DTW through the dispatched anti-diagonal
+//                wavefront (kernels::DtwFullKernel)
 //
 // Pass --quick to cut repetitions (CI smoke). Pass --checksums-out FILE to
 // additionally write one "<primitive> <checksum>" line per primitive:
@@ -20,6 +22,7 @@
 // in-process scalar-vs-kernel gate. The BENCH_JSON line records which ISA
 // tier the dispatcher resolved ("isa").
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -97,27 +100,35 @@ struct PrimitiveResult {
 
 // ------------------------------------------------------------- primitives
 
-PrimitiveResult BenchFrechet(const std::vector<Trajectory>& fleet,
-                             size_t pairs) {
-  PrimitiveResult r{"frechet_row"};
+// Best-of-N timing: one pass over the pairs takes ~10 ms, short enough
+// that a single preemption on a shared host would decide the ratio.
+constexpr int kTimingReps = 5;
+
+// Times `pairs` fleet pairs through the scalar reference measure and the
+// kernel-layer measure, alternating the two over kTimingReps rounds and
+// keeping each side's fastest pass; checksums both outputs.
+template <typename ScalarFn, typename KernelFn>
+PrimitiveResult BenchMeasure(const char* name,
+                             const std::vector<Trajectory>& fleet,
+                             size_t pairs, ScalarFn scalar_fn,
+                             KernelFn kernel_fn) {
+  const auto timed_pass = [&](auto fn, Checksum* sum) {
+    *sum = Checksum{};
+    const auto t0 = std::chrono::steady_clock::now();
+    for (size_t p = 0; p < pairs; ++p) {
+      const Trajectory& a = fleet[p % fleet.size()];
+      const Trajectory& b = fleet[(p * 11 + 5) % fleet.size()];
+      sum->MixDouble(fn(a, b));
+    }
+    return SecondsSince(t0);
+  };
+  PrimitiveResult r{name};
+  r.scalar_s = r.kernel_s = 1e300;
   Checksum scalar_sum, kernel_sum;
-
-  auto t0 = std::chrono::steady_clock::now();
-  for (size_t p = 0; p < pairs; ++p) {
-    const Trajectory& a = fleet[p % fleet.size()];
-    const Trajectory& b = fleet[(p * 11 + 5) % fleet.size()];
-    scalar_sum.MixDouble(kernels::scalar::FrechetDistance(a, b));
+  for (int rep = 0; rep < kTimingReps; ++rep) {
+    r.scalar_s = std::min(r.scalar_s, timed_pass(scalar_fn, &scalar_sum));
+    r.kernel_s = std::min(r.kernel_s, timed_pass(kernel_fn, &kernel_sum));
   }
-  r.scalar_s = SecondsSince(t0);
-
-  t0 = std::chrono::steady_clock::now();
-  for (size_t p = 0; p < pairs; ++p) {
-    const Trajectory& a = fleet[p % fleet.size()];
-    const Trajectory& b = fleet[(p * 11 + 5) % fleet.size()];
-    kernel_sum.MixDouble(query::DiscreteFrechetDistance(a, b));
-  }
-  r.kernel_s = SecondsSince(t0);
-
   r.speedup = r.scalar_s / r.kernel_s;
   r.checksum = kernel_sum.h;
   r.identical = scalar_sum.h == kernel_sum.h;
@@ -175,7 +186,22 @@ int main(int argc, char** argv) {
 
   const size_t mul = quick ? 1 : 10;
   std::vector<PrimitiveResult> results;
-  results.push_back(BenchFrechet(fleet, 100 * mul));
+  results.push_back(BenchMeasure(
+      "frechet_row", fleet, 100 * mul,
+      [](const Trajectory& a, const Trajectory& b) {
+        return kernels::scalar::FrechetDistance(a, b);
+      },
+      [](const Trajectory& a, const Trajectory& b) {
+        return query::DiscreteFrechetDistance(a, b);
+      }));
+  results.push_back(BenchMeasure(
+      "dtw_full", fleet, 100 * mul,
+      [](const Trajectory& a, const Trajectory& b) {
+        return kernels::scalar::DtwDistance(a, b, -1);
+      },
+      [](const Trajectory& a, const Trajectory& b) {
+        return query::DtwDistance(a, b);
+      }));
 
   bench::Table table(
       {"primitive", "scalar_s", "kernel_s", "speedup", "bit-identical"});

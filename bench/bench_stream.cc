@@ -12,7 +12,9 @@
 //   window_close  amortized cost of closing a window (sort + online
 //                 outlier gate + incremental Kalman + KPI fold), measured
 //                 over the engine's own closes.
-//   replay        Replay() at 1/2/8 workers vs. the serial engine.
+//   replay        Replay() at 1/2/8 workers vs. the serial engine: the
+//                 median rep per worker count, from interleaved rounds
+//                 that give every count >= 150 ms of reps.
 //
 // Every configuration -- serial engine, every worker count, and the batch
 // reference -- must agree on OutputChecksum bit-for-bit; any mismatch
@@ -21,6 +23,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -158,6 +161,12 @@ IngestStats BenchIngest(const stream::EventLog& log,
   return best;
 }
 
+// Replay reps at each worker count run until they cover at least this
+// much wall time; each point reports its median rep. One rep of the full
+// log takes ~13 ms at 8 workers (4-vCPU Xeon), too short to time alone on
+// a shared host.
+constexpr double kMinReplaySeconds = 0.15;
+
 struct ReplayPoint {
   int threads = 0;
   double seconds = 0.0;
@@ -219,14 +228,20 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::vector<ReplayPoint> replay;
-  double serial_replay_s = 0.0;
-  for (const int threads : {1, 2, 8}) {
-    stream::ReplayOptions options;
-    options.num_threads = threads;
-    double best_s = 1e300;
-    uint64_t checksum = 0;
-    for (int rep = 0; rep < reps; ++rep) {
+  // Rounds of one rep per worker count, interleaved so that a slow phase
+  // of a shared host lands on every worker count alike, until each count's
+  // reps cover kMinReplaySeconds.
+  const std::vector<int> worker_counts = {1, 2, 8};
+  std::vector<std::vector<double>> rep_s(worker_counts.size());
+  std::vector<double> total_s(worker_counts.size(), 0.0);
+  for (int round = 0;
+       round < reps ||
+       *std::min_element(total_s.begin(), total_s.end()) < kMinReplaySeconds;
+       ++round) {
+    for (size_t k = 0; k < worker_counts.size(); ++k) {
+      const int threads = worker_counts[k];
+      stream::ReplayOptions options;
+      options.num_threads = threads;
       const auto t0 = std::chrono::steady_clock::now();
       const StatusOr<stream::StreamOutput> out =
           stream::Replay(log, config, options);
@@ -236,20 +251,29 @@ int main(int argc, char** argv) {
                      out.status().ToString().c_str());
         return 1;
       }
-      checksum = stream::OutputChecksum(*out);
-      best_s = std::min(best_s, secs);
+      if (stream::OutputChecksum(*out) != ingest.checksum) {
+        std::fprintf(stderr,
+                     "DETERMINISM VIOLATION at %d threads: replay output "
+                     "differs from the serial engine\n",
+                     threads);
+        return 1;
+      }
+      rep_s[k].push_back(secs);
+      total_s[k] += secs;
     }
-    if (checksum != ingest.checksum) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION at %d threads: replay output "
-                   "differs from the serial engine\n",
-                   threads);
-      return 1;
-    }
-    if (threads == 1) serial_replay_s = best_s;
-    replay.push_back({threads, best_s,
-                      static_cast<double>(log.events.size()) / best_s,
-                      serial_replay_s / best_s});
+  }
+  std::vector<ReplayPoint> replay;
+  double serial_replay_s = 0.0;
+  for (size_t k = 0; k < worker_counts.size(); ++k) {
+    std::vector<double>& reps_k = rep_s[k];
+    const auto mid =
+        reps_k.begin() + static_cast<std::ptrdiff_t>(reps_k.size() / 2);
+    std::nth_element(reps_k.begin(), mid, reps_k.end());
+    const double median_s = *mid;
+    if (k == 0) serial_replay_s = median_s;
+    replay.push_back({worker_counts[k], median_s,
+                      static_cast<double>(log.events.size()) / median_s,
+                      serial_replay_s / median_s});
   }
 
   bench::Table replay_table({"threads", "seconds", "records/s", "speedup"});

@@ -54,10 +54,10 @@ CASES = [
      {"rows": [{"seconds": 1.0}, {"seconds": 3.0}]},
      1, "rows[1].seconds: 2 -> 3"),
     ("dropped floored row fails its floor",
-     rows(("dist_row", 2.0), ("frechet_row", 1.8)), rows(("dist_row", 2.0)),
+     rows(("dist_row", 2.0), ("frechet_row", 2.8)), rows(("dist_row", 2.0)),
      1, "FLOOR new: floored primitive 'frechet_row' is in the baseline"),
     ("dropped floored row fails its floor under --ratios-only",
-     rows(("dist_row", 2.0), ("frechet_row", 1.8)), rows(("dist_row", 2.0)),
+     rows(("dist_row", 2.0), ("frechet_row", 2.8)), rows(("dist_row", 2.0)),
      1, "FLOOR new: floored primitive 'frechet_row' is in the baseline",
      ["--ratios-only"]),
 ]

@@ -66,6 +66,12 @@ struct KernelOps {
   double (*frechet_full)(const double* ax, const double* ay, size_t n,
                          const double* bx, const double* by, size_t m,
                          double* scratch);
+  // Full n x m DTW DP (no band) via the same anti-diagonal wavefront;
+  // `scratch` holds 4*(m+1) doubles. Bit-identical to iterating
+  // DtwRowKernel (distance.h) over the rows with the band off.
+  double (*dtw_full)(const double* ax, const double* ay, size_t n,
+                     const double* bx, const double* by, size_t m,
+                     double* scratch);
   // Branch-free box-intersection sweep over columnar box arrays; writes
   // the ids of hits to `out` (capacity >= count) and returns the hit
   // count. count <= kLeafScanMaxCount (the portable tiers stage a hit

@@ -35,6 +35,12 @@ double FrechetFullKernel(const double* ax, const double* ay, size_t n,
   return KernelDispatch::Get().frechet_full(ax, ay, n, bx, by, m, scratch);
 }
 
+double DtwFullKernel(const double* ax, const double* ay, size_t n,
+                     const double* bx, const double* by, size_t m,
+                     double* scratch) {
+  return KernelDispatch::Get().dtw_full(ax, ay, n, bx, by, m, scratch);
+}
+
 // The DP rows: plain fused passes, not dispatched (see distance.h).
 
 void DtwRowKernel(double qx, double qy, const double* bx, const double* by,

@@ -20,8 +20,10 @@ namespace kernels {
 //
 // The two DP row kernels (DtwRowKernel, FrechetRowKernel) are plain,
 // non-dispatched functions: their carried cur[j-1] recurrence serializes
-// the row at any vector width, so per-tier builds measured no faster than
-// the scalar oracle.
+// the row at any vector width. They serve banded DTW and the
+// deadline-bounded measures; the full DPs (FrechetFullKernel,
+// DtwFullKernel) are dispatched anti-diagonal wavefronts, whose diagonals
+// have no carried recurrence and vectorize.
 //
 // Operand-order convention: a distance between a "query" sample q and a
 // column sample j is computed as dq = q - column[j] (matching
@@ -71,6 +73,16 @@ void FrechetRowKernel(double qx, double qy, const double* bx,
 double FrechetFullKernel(const double* ax, const double* ay, size_t n,
                          const double* bx, const double* by, size_t m,
                          double* scratch);
+
+// The full n x m DTW DP without a band (n, m >= 1): returns D[n][m] of the
+// DtwRowKernel recurrence. The same anti-diagonal wavefront as
+// FrechetFullKernel; `scratch` holds 4*(m+1) doubles (three rolling
+// diagonals plus one diagonal's distances). Bit-identical to iterating
+// DtwRowKernel over the rows with lo = 1, hi = m: every cell evaluates the
+// same min and the same d + best with the same operand order.
+double DtwFullKernel(const double* ax, const double* ay, size_t n,
+                     const double* bx, const double* by, size_t m,
+                     double* scratch);
 
 }  // namespace kernels
 }  // namespace sidq

@@ -13,14 +13,17 @@ namespace query {
 
 // The O(n*m) measures below run on columnar views (kernels::TrajectoryView)
 // and per-row kernels (kernels/distance.h): EDR/LCSS rows take their
-// distances from a vectorized DistRow pass, while the DTW/Frechet rows fuse
-// distance and the carried recurrence into one sequential pass. The kernels execute the same operations in the same order as
-// the original AoS loops (kept verbatim in kernels/scalar_ref.cc), so every
-// result is bit-identical to the pre-kernel implementation -- asserted by
-// tests/kernels_test.cc and the bench_kernels checksum gate. DP rows and
-// distance scratch live in the thread-local scratch arena (core/arena.h):
-// a distance call performs zero heap allocations, which matters when the
-// similarity search evaluates thousands of candidates per query.
+// distances from a vectorized DistRow pass, while unbanded DTW and Frechet
+// without a deadline run as dispatched anti-diagonal wavefronts (the banded
+// and deadline-bounded forms keep the row kernels, which fuse distance and
+// the carried recurrence into one sequential pass). The kernels execute
+// the same operations in the same order as the original AoS loops (kept
+// verbatim in kernels/scalar_ref.cc), so every result is bit-identical to
+// the pre-kernel implementation -- asserted by tests/kernels_test.cc and
+// the bench_kernels checksum gate. DP rows and distance scratch live in
+// the thread-local scratch arena (core/arena.h): a distance call performs
+// zero heap allocations, which matters when the similarity search
+// evaluates thousands of candidates per query.
 
 namespace {
 
@@ -35,10 +38,18 @@ StatusOr<double> DtwDistanceBounded(const Trajectory& a, const Trajectory& b,
   if (n == 0 || m == 0) return n == m ? 0.0 : kInf;
   const kernels::TrajectoryView va = kernels::TrajectoryView::Of(a);
   const kernels::TrajectoryView vb = kernels::TrajectoryView::Of(b);
-  // Two-row DP; rows over a, columns over b. Rows come from the arena
-  // (the kernel fills `cur` completely, so only `prev` needs
-  // initializing).
   ArenaScope scope(ScratchArena());
+  if (exec == nullptr && band <= 0) {
+    // No deadline and no band: run the whole DP as one anti-diagonal
+    // wavefront. Bit-identical to the row iteration below (see
+    // DtwFullKernel), just without its carried per-row recurrence.
+    double* scratch = scope.AllocArray<double>(4 * (m + 1));
+    return kernels::DtwFullKernel(va.x(), va.y(), n, vb.x(), vb.y(), m,
+                                  scratch);
+  }
+  // Banded or deadline-bounded: two-row DP, rows over a, columns over b.
+  // Rows come from the arena (the kernel fills `cur` completely, so only
+  // `prev` needs initializing).
   double* prev = scope.AllocFilled<double>(m + 1, kInf);
   double* cur = scope.AllocArray<double>(m + 1);
   prev[0] = 0.0;

@@ -58,12 +58,12 @@ StatusOr<std::vector<NodeId>> RoadNetwork::ShortestPath(NodeId from,
   std::priority_queue<QE, std::vector<QE>, std::greater<QE>> pq;
   dist[from] = 0.0;
   pq.emplace(0.0, from);
-  last_nodes_expanded = 0;
+  size_t expanded = 0;
   while (!pq.empty()) {
     const auto [d, n] = pq.top();
     pq.pop();
     if (d > dist[n]) continue;
-    ++last_nodes_expanded;
+    ++expanded;
     if (n == to) break;
     for (EdgeId eid : adjacency_[n]) {
       const NodeId m = Opposite(eid, n);
@@ -75,6 +75,7 @@ StatusOr<std::vector<NodeId>> RoadNetwork::ShortestPath(NodeId from,
       }
     }
   }
+  last_nodes_expanded = expanded;
   if (dist[to] == kInf) return Status::NotFound("no path");
   std::vector<NodeId> path;
   for (NodeId n = to; n != kInvalidNodeId; n = prev[n]) {
@@ -100,13 +101,13 @@ StatusOr<std::vector<NodeId>> RoadNetwork::ShortestPathAStar(
   std::priority_queue<QE, std::vector<QE>, std::greater<QE>> pq;
   g[from] = 0.0;
   pq.emplace(geometry::Distance(nodes_[from].p, goal), from);
-  last_nodes_expanded = 0;
+  size_t expanded = 0;
   while (!pq.empty()) {
     const auto [f, n] = pq.top();
     pq.pop();
     // Stale entry check against the best-known f for n.
     if (f > g[n] + geometry::Distance(nodes_[n].p, goal) + 1e-9) continue;
-    ++last_nodes_expanded;
+    ++expanded;
     if (n == to) break;
     for (EdgeId eid : adjacency_[n]) {
       const NodeId m = Opposite(eid, n);
@@ -118,6 +119,7 @@ StatusOr<std::vector<NodeId>> RoadNetwork::ShortestPathAStar(
       }
     }
   }
+  last_nodes_expanded = expanded;
   if (g[to] == kInf) return Status::NotFound("no path");
   std::vector<NodeId> path;
   for (NodeId n = to; n != kInvalidNodeId; n = prev[n]) {

@@ -17,7 +17,7 @@ namespace sim {
 
 // Relaxed atomic counter that keeps value semantics: copies snapshot the
 // current count, so an owning object stays copyable/movable. Used for
-// const-method statistics that fleet execution may bump from many worker
+// const-method statistics that fleet execution may write from many worker
 // threads (data-race-free; interleaved writers make the value approximate,
 // which is fine for search-effort stats). Atomics-only by design -- it
 // carries no capability and needs no SIDQ_GUARDED_BY; the capability map
@@ -35,10 +35,6 @@ class RelaxedCounter {
   }
   RelaxedCounter& operator=(size_t v) {
     v_.store(v, std::memory_order_relaxed);
-    return *this;
-  }
-  RelaxedCounter& operator++() {
-    v_.fetch_add(1, std::memory_order_relaxed);
     return *this;
   }
   // NOLINTNEXTLINE(google-explicit-constructor)
@@ -95,6 +91,8 @@ class RoadNetwork {
   // (search-effort statistics for the A* ablation). Atomic because const
   // path queries update it and fleet execution issues them from many
   // worker threads; concurrent callers see *a* recent count, not their own.
+  // A search counts in a local and stores once when it ends, so concurrent
+  // searches do not contend on this cache line per expanded node.
   mutable RelaxedCounter last_nodes_expanded;
 
   // Builds (or rebuilds) the edge lookup accelerator; must be called after

@@ -16,9 +16,11 @@
 
 #include "core/hash.h"
 #include "core/random.h"
+#include "core/trajectory.h"
 #include "force_isa_guard.h"
 #include "kernels/dispatch.h"
 #include "kernels/distance.h"
+#include "kernels/scalar_ref.h"
 
 namespace sidq {
 namespace kernels {
@@ -54,6 +56,57 @@ std::vector<double> Column(Rng* rng, size_t n, bool specials) {
     v[at()] = -0.0;
   }
   return v;
+}
+
+// Sizes around the vector widths (2/4/8 doubles) plus one fleet-sized
+// trajectory, for the DP wavefronts.
+std::vector<size_t> WavefrontSizes() {
+  return {1, 2, 7, 8, 9, 16, 17, 64, 355};
+}
+
+// The adversarial trajectory shapes the DP wavefronts must survive.
+enum class Shape {
+  kDuplicates,  // random walk with repeated points (zero distances)
+  kNan,         // one NaN coordinate
+  kHuge,        // coordinates near +/-1e154: squared distances overflow
+};
+
+const char* ShapeName(Shape shape) {
+  switch (shape) {
+    case Shape::kDuplicates:
+      return "duplicates";
+    case Shape::kNan:
+      return "NaN";
+    case Shape::kHuge:
+      return "huge";
+  }
+  return "?";
+}
+
+// x/y columns of an n-point trajectory of the given shape.
+void ShapedColumns(Rng* rng, size_t n, Shape shape, std::vector<double>* xs,
+                   std::vector<double>* ys) {
+  // kHuge scales by 1e152 (|coordinate| ~1e154-1e155): a cross-trajectory
+  // difference near 1e155 squares to +inf, one between nearby samples
+  // stays finite.
+  const double scale = shape == Shape::kHuge ? 1e152 : 1.0;
+  xs->assign(n, 0.0);
+  ys->assign(n, 0.0);
+  double x = rng->Uniform(-500.0, 500.0);
+  double y = rng->Uniform(-500.0, 500.0);
+  for (size_t i = 0; i < n; ++i) {
+    if (i == 0 || !rng->Bernoulli(0.3)) {  // else: repeat the last point
+      x += rng->Uniform(-20.0, 20.0);
+      y += rng->Uniform(-20.0, 20.0);
+    }
+    (*xs)[i] = x * scale;
+    (*ys)[i] = y * scale;
+  }
+  if (shape == Shape::kNan) {
+    const size_t at = static_cast<size_t>(
+        rng->UniformInt(0, static_cast<int64_t>(n) - 1));
+    (rng->Bernoulli(0.5) ? *xs : *ys)[at] = kNan;
+  }
 }
 
 void ExpectBytesEqual(const std::vector<double>& ref,
@@ -121,32 +174,85 @@ TEST(KernelDispatchTest, FrechetFullMatchesRowIterationOnEveryTier) {
   const KernelOps& ref = *KernelDispatch::Table(Isa::kScalar);
   Rng rng_store(16);
   Rng* rng = &rng_store;
+  std::vector<double> ax, ay, bx, by;
+  const auto check = [&](const char* what) {
+    const size_t n = ax.size();
+    const size_t m = bx.size();
+    // Row-kernel composition.
+    std::vector<double> prev(m), cur(m), dist(m);
+    ref.dist_row(ax[0], ay[0], bx.data(), by.data(), 0, m, dist.data());
+    prev[0] = dist[0];
+    for (size_t j = 1; j < m; ++j) {
+      prev[j] = std::max(prev[j - 1], dist[j]);
+    }
+    for (size_t i = 1; i < n; ++i) {
+      FrechetRowKernel(ax[i], ay[i], bx.data(), by.data(), m, prev.data(),
+                       cur.data());
+      std::swap(prev, cur);
+    }
+    const double want = prev[m - 1];
+    for (Isa isa : CompiledTiers()) {
+      std::vector<double> scratch(3 * m, -7.0);
+      const double got = KernelDispatch::Table(isa)->frechet_full(
+          ax.data(), ay.data(), n, bx.data(), by.data(), m, scratch.data());
+      EXPECT_EQ(0, std::memcmp(&want, &got, sizeof(double)))
+          << "frechet_full (" << what << ", n=" << n << ", m=" << m
+          << ") diverges from the row iteration on tier " << IsaName(isa);
+    }
+  };
   for (size_t n : {size_t{1}, size_t{2}, size_t{7}, size_t{33}}) {
     for (size_t m : {size_t{1}, size_t{5}, size_t{31}, size_t{64}}) {
-      const auto ax = Column(rng, n, true);
-      const auto ay = Column(rng, n, true);
-      const auto bx = Column(rng, m, true);
-      const auto by = Column(rng, m, true);
-      // Row-kernel composition.
-      std::vector<double> prev(m), cur(m), dist(m);
-      ref.dist_row(ax[0], ay[0], bx.data(), by.data(), 0, m, dist.data());
-      prev[0] = dist[0];
-      for (size_t j = 1; j < m; ++j) {
-        prev[j] = std::max(prev[j - 1], dist[j]);
+      ax = Column(rng, n, true);
+      ay = Column(rng, n, true);
+      bx = Column(rng, m, true);
+      by = Column(rng, m, true);
+      check("IEEE specials");
+    }
+  }
+  for (size_t n : WavefrontSizes()) {
+    for (size_t m : WavefrontSizes()) {
+      for (Shape shape : {Shape::kDuplicates, Shape::kNan, Shape::kHuge}) {
+        ShapedColumns(rng, n, shape, &ax, &ay);
+        ShapedColumns(rng, m, shape, &bx, &by);
+        check(ShapeName(shape));
       }
-      for (size_t i = 1; i < n; ++i) {
-        FrechetRowKernel(ax[i], ay[i], bx.data(), by.data(), m, prev.data(),
-                         cur.data());
-        std::swap(prev, cur);
-      }
-      const double want = prev[m - 1];
-      for (Isa isa : CompiledTiers()) {
-        std::vector<double> scratch(3 * m, -7.0);
-        const double got = KernelDispatch::Table(isa)->frechet_full(
-            ax.data(), ay.data(), n, bx.data(), by.data(), m, scratch.data());
-        EXPECT_EQ(0, std::memcmp(&want, &got, sizeof(double)))
-            << "frechet_full (n=" << n << ", m=" << m
-            << ") diverges from the row iteration on tier " << IsaName(isa);
+    }
+  }
+}
+
+TEST(KernelDispatchTest, DtwFullMatchesScalarOnEveryTier) {
+  // The DTW wavefront, dispatched on every available tier, equals the
+  // scalar reference DP (kernels/scalar_ref.cc, band off) bit for bit.
+  ForceIsaGuard guard;
+  Rng rng_store(18);
+  Rng* rng = &rng_store;
+  std::vector<double> ax, ay, bx, by;
+  const auto trajectory = [](const std::vector<double>& xs,
+                             const std::vector<double>& ys) {
+    Trajectory tr(1);
+    for (size_t i = 0; i < xs.size(); ++i) {
+      tr.AppendUnordered(TrajectoryPoint(static_cast<Timestamp>(i) * 1000,
+                                         geometry::Point(xs[i], ys[i])));
+    }
+    return tr;
+  };
+  for (size_t n : WavefrontSizes()) {
+    for (size_t m : WavefrontSizes()) {
+      for (Shape shape : {Shape::kDuplicates, Shape::kNan, Shape::kHuge}) {
+        ShapedColumns(rng, n, shape, &ax, &ay);
+        ShapedColumns(rng, m, shape, &bx, &by);
+        const double want =
+            scalar::DtwDistance(trajectory(ax, ay), trajectory(bx, by), -1);
+        for (Isa isa : CompiledTiers()) {
+          guard.Force(IsaName(isa));
+          std::vector<double> scratch(4 * (m + 1), -7.0);
+          const double got = DtwFullKernel(ax.data(), ay.data(), n,
+                                           bx.data(), by.data(), m,
+                                           scratch.data());
+          EXPECT_EQ(0, std::memcmp(&want, &got, sizeof(double)))
+              << "dtw_full (" << ShapeName(shape) << ", n=" << n << ", m=" << m
+              << ") diverges from scalar on tier " << IsaName(isa);
+        }
       }
     }
   }

@@ -5,11 +5,14 @@
 // order.
 
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/clock.h"
 #include "core/exec_context.h"
 #include "core/random.h"
 #include "kernels/distance.h"
@@ -51,8 +54,8 @@ std::vector<size_t> InterestingSizes() { return {0, 1, 2, 3, 7, 33, 64}; }
 // ------------------------------------------------------- measure identity
 
 // The Bounded forms with a live ExecContext run the deadline-checked row
-// kernels; without one, Frechet takes the anti-diagonal wavefront. Both
-// paths must match the oracle.
+// kernels; without one, Frechet and unbanded DTW take the anti-diagonal
+// wavefronts. Both paths must match the oracle.
 
 TEST(KernelEquivalenceTest, DtwMatchesScalarBitForBit) {
   Rng rng(7);
@@ -70,6 +73,42 @@ TEST(KernelEquivalenceTest, DtwMatchesScalarBitForBit) {
         ASSERT_TRUE(bounded.ok()) << bounded.status();
         EXPECT_EQ(*bounded, want)
             << "bounded n=" << n << " m=" << m << " band=" << band;
+      }
+    }
+  }
+}
+
+TEST(KernelEquivalenceTest, DtwWavefrontMatchesBoundedRowPath) {
+  // A live context (clock + a deadline that never comes) sends
+  // DtwDistanceBounded down the row-kernel path; DtwDistance without a
+  // band takes the dispatched wavefront. Same bits on every input,
+  // including NaN coordinates and squared distances that overflow.
+  Rng rng(19);
+  const VirtualClock clock;
+  const ExecContext exec = ExecContext::After(&clock, int64_t{1} << 40);
+  ASSERT_TRUE(exec.has_deadline());
+  for (size_t n : {size_t{1}, size_t{9}, size_t{64}, size_t{355}}) {
+    for (size_t m : {size_t{1}, size_t{8}, size_t{17}, size_t{355}}) {
+      for (int shape = 0; shape < 3; ++shape) {
+        Trajectory a = RandomTrajectory(&rng, n, 1);
+        Trajectory b = RandomTrajectory(&rng, m, 2);
+        if (shape == 1) {
+          a.mutable_points()[n / 2].p.x =
+              std::numeric_limits<double>::quiet_NaN();
+        } else if (shape == 2) {
+          for (Trajectory* tr : {&a, &b}) {
+            for (TrajectoryPoint& pt : tr->mutable_points()) {
+              pt.p = pt.p * 1e152;
+            }
+          }
+        }
+        const double wavefront = query::DtwDistance(a, b);
+        const StatusOr<double> rows =
+            query::DtwDistanceBounded(a, b, -1, &exec);
+        ASSERT_TRUE(rows.ok()) << rows.status();
+        EXPECT_EQ(0, std::memcmp(&wavefront, &*rows, sizeof(double)))
+            << "shape=" << shape << " n=" << n << " m=" << m
+            << " wavefront=" << wavefront << " rows=" << *rows;
       }
     }
   }
